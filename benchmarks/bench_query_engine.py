@@ -1,13 +1,9 @@
-"""Query-engine and simulator-kernel benchmarks, with machine-readable output.
+"""Simulator-kernel benchmarks, with machine-readable output.
 
-Three sections, each an acceptance experiment of one PR:
-
-* **engine vs. seed** (query-engine PR) — learn the 8-way PLRU policy (the
-  128-state machine of Table 2) from its white-box Mealy model through the
-  full L* + Wp-method loop with the per-word dictionary cache
-  (:class:`~repro.learning.oracles.DictCachedMembershipOracle`) and with the
-  trie-backed :class:`~repro.learning.oracles.CachedMembershipOracle`; the
-  engine must cut executed symbols by at least 2x on the same machine.
+Two sections (a former engine-vs-seed section measured the trie engine
+against the pre-trie dictionary cache; that cache is gone, and
+``BENCH_query_engine.json`` keeps its last numbers as the historical
+record):
 
 * **kernel throughput** (simkernel PR) — answer one seeded random workload
   of PLRU-8 policy words through
@@ -25,10 +21,6 @@ Run standalone (``--json OUT`` writes a machine-readable result so the
 perf trajectory accumulates ``BENCH_*.json`` points)::
 
     PYTHONPATH=src python benchmarks/bench_query_engine.py --json BENCH_query_engine.json
-
-or through pytest-benchmark::
-
-    PYTHONPATH=src python -m pytest benchmarks/bench_query_engine.py
 """
 
 import argparse
@@ -36,23 +28,8 @@ import json
 import random
 import time
 
-import pytest
-
-try:  # pytest inserts benchmarks/ into sys.path; standalone runs don't need it
-    from conftest import run_once
-except ImportError:  # pragma: no cover - standalone execution
-    run_once = None
-
 from repro.core.alphabet import policy_input_alphabet
-from repro.learning import (
-    CachedMembershipOracle,
-    ConformanceEquivalenceOracle,
-    DictCachedMembershipOracle,
-    MealyMachineOracle,
-    PerfectEquivalenceOracle,
-    learn_mealy_machine,
-)
-from repro.policies.registry import available_policies, make_policy
+from repro.policies.registry import make_policy
 from repro.polca.algorithm import PolcaMembershipOracle
 from repro.polca.interfaces import SimulatedCacheInterface
 from repro.polca.pipeline import learn_simulated_policy
@@ -60,45 +37,6 @@ from repro.simkernel import numpy_available
 
 #: The acceptance target: the paper's 8-way tree PLRU (128 states).
 TENTPOLE_POLICY = ("PLRU", 8)
-CACHE_BACKENDS = {
-    "seed-dict": DictCachedMembershipOracle,
-    "trie-engine": CachedMembershipOracle,
-}
-
-
-def learn_with_backend(policy_name, associativity, backend):
-    """Learn a policy white-box with the given cache backend; return metrics."""
-    reference = make_policy(policy_name, associativity).to_mealy(max_states=200_000).minimize()
-    sul = MealyMachineOracle(reference)
-    engine = CACHE_BACKENDS[backend](sul)
-    equivalence = ConformanceEquivalenceOracle(engine, depth=1)
-    start = time.perf_counter()
-    result = learn_mealy_machine(reference.inputs, engine, equivalence)
-    seconds = time.perf_counter() - start
-    assert reference.equivalent(result.machine), "learned machine changed!"
-    return {
-        "backend": backend,
-        "states": result.machine.size,
-        "seconds": seconds,
-        "executed_queries": sul.statistics.membership_queries,
-        "executed_symbols": sul.statistics.membership_symbols,
-        "cache_hits": engine.statistics.cache_hits,
-        "resumed_symbols": engine.statistics.resumed_symbols,
-        "machine": result.machine,
-    }
-
-
-def compare_backends(policy_name, associativity):
-    """Run both paths and return (seed_metrics, engine_metrics, ratios)."""
-    seed = learn_with_backend(policy_name, associativity, "seed-dict")
-    engine = learn_with_backend(policy_name, associativity, "trie-engine")
-    assert seed["machine"].equivalent(engine["machine"])
-    ratios = {
-        "symbols": seed["executed_symbols"] / max(1, engine["executed_symbols"]),
-        "queries": seed["executed_queries"] / max(1, engine["executed_queries"]),
-        "seconds": seed["seconds"] / max(1e-9, engine["seconds"]),
-    }
-    return seed, engine, ratios
 
 
 # ------------------------------------------------------- simulator kernels
@@ -191,43 +129,6 @@ def kernel_learning_identity(policy_name, associativity, *, workers_settings=(0,
     return runs, identical
 
 
-# --------------------------------------------------------------------- pytest
-
-
-def test_query_engine_speedup(benchmark):
-    """The engine path must execute at least 2x fewer symbols for PLRU-8."""
-    policy_name, associativity = TENTPOLE_POLICY
-    seed = learn_with_backend(policy_name, associativity, "seed-dict")
-    engine = run_once(benchmark, learn_with_backend, policy_name, associativity, "trie-engine")
-    assert seed["machine"].equivalent(engine["machine"])
-    assert engine["states"] == seed["states"] == 128
-    ratio = seed["executed_symbols"] / max(1, engine["executed_symbols"])
-    assert ratio >= 2.0, f"symbol reduction only {ratio:.2f}x"
-    benchmark.extra_info["seed_symbols"] = seed["executed_symbols"]
-    benchmark.extra_info["engine_symbols"] = engine["executed_symbols"]
-    benchmark.extra_info["symbol_reduction"] = round(ratio, 2)
-    benchmark.extra_info["seed_seconds"] = round(seed["seconds"], 3)
-
-
-@pytest.mark.parametrize("policy_name", available_policies())
-def test_registry_machines_unchanged(policy_name):
-    """Both paths learn the same machine for every policy in the registry."""
-    try:
-        make_policy(policy_name, 2)
-    except Exception:
-        pytest.skip(f"{policy_name} undefined at associativity 2")
-    reference = make_policy(policy_name, 2).to_mealy().minimize()
-    machines = {}
-    for backend, cache_cls in CACHE_BACKENDS.items():
-        engine = cache_cls(MealyMachineOracle(reference))
-        result = learn_mealy_machine(
-            reference.inputs, engine, PerfectEquivalenceOracle(reference)
-        )
-        machines[backend] = result.machine
-    assert machines["seed-dict"].equivalent(machines["trie-engine"])
-    assert machines["seed-dict"].size == machines["trie-engine"].size == reference.size
-
-
 # ----------------------------------------------------------------- standalone
 
 
@@ -239,11 +140,6 @@ def main(argv=None):
         default=None,
         help="write the full machine-readable results to this file "
         "(the BENCH_*.json perf-trajectory format)",
-    )
-    parser.add_argument(
-        "--skip-engine",
-        action="store_true",
-        help="skip the engine-vs-seed and registry-sweep sections",
     )
     parser.add_argument(
         "--skip-learning",
@@ -295,58 +191,12 @@ def main(argv=None):
         payload["kernel_learning_identical"] = identical
         assert identical, "acceptance criterion: machines bit-identical across kernels"
 
-    if not arguments.skip_engine:
-        run_engine_sections(policy_name, associativity, payload)
-
     if arguments.json:
         with open(arguments.json, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2)
             handle.write("\n")
         print(f"\nwrote {arguments.json}")
     print("\nOK")
-
-
-def run_engine_sections(policy_name, associativity, payload):
-    print(f"\n== Batched query engine vs. seed path: {policy_name}-{associativity} ==")
-    seed, engine, ratios = compare_backends(policy_name, associativity)
-    header = f"{'path':>12} {'states':>7} {'queries':>9} {'symbols':>10} {'seconds':>9}"
-    print(header)
-    for metrics in (seed, engine):
-        print(
-            f"{metrics['backend']:>12} {metrics['states']:>7} "
-            f"{metrics['executed_queries']:>9} {metrics['executed_symbols']:>10} "
-            f"{metrics['seconds']:>9.2f}"
-        )
-    print(
-        f"reduction: {ratios['symbols']:.2f}x symbols, "
-        f"{ratios['queries']:.2f}x queries, {ratios['seconds']:.2f}x wall time"
-    )
-    assert ratios["symbols"] >= 2.0, "acceptance criterion: >= 2x fewer executed symbols"
-    payload["engine_vs_seed"] = {
-        "seed": {key: value for key, value in seed.items() if key != "machine"},
-        "engine": {key: value for key, value in engine.items() if key != "machine"},
-        "ratios": ratios,
-    }
-
-    print("\n== Registry sweep: learned machines unchanged (associativity 2) ==")
-    sweep = {}
-    for name in available_policies():
-        try:
-            reference = make_policy(name, 2).to_mealy().minimize()
-        except Exception:
-            print(f"{name:>12}: skipped (undefined at associativity 2)")
-            continue
-        machines = {}
-        for backend, cache_cls in CACHE_BACKENDS.items():
-            engine_oracle = cache_cls(MealyMachineOracle(reference))
-            machines[backend] = learn_mealy_machine(
-                reference.inputs, engine_oracle, PerfectEquivalenceOracle(reference)
-            ).machine
-        unchanged = machines["seed-dict"].equivalent(machines["trie-engine"])
-        assert unchanged, f"{name}: engines learned different machines"
-        print(f"{name:>12}: {machines['trie-engine'].size} states, unchanged")
-        sweep[name] = machines["trie-engine"].size
-    payload["registry_sweep_states"] = sweep
 
 
 if __name__ == "__main__":

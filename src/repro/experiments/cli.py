@@ -183,14 +183,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--learner",
-        choices=["lstar", "kv", "ttt"],
+        choices=["lstar", "ttt"],
         default="lstar",
         help="learning algorithm for table2/table4: lstar (observation table, "
-        "the paper's configuration), kv (Kearns–Vazirani classification "
-        "tree — far fewer membership queries per discovered state on large "
-        "policies), or ttt (TTT-refined tree: discriminator finalization + "
-        "incremental sifting — fewest executed symbols and the best wall "
-        "clock of the three); all learn identical minimal machines",
+        "the paper's configuration) or ttt (classification tree with "
+        "discriminator finalization + incremental sifting — far fewer "
+        "executed queries and symbols on large policies); both learn "
+        "identical minimal machines",
     )
     parser.add_argument(
         "--json", action="store_true", help="emit raw results as JSON instead of tables"

@@ -78,7 +78,7 @@ class Table2Row:
     identified: Optional[str]
     cache_hits: int = 0
     tests_skipped: int = 0
-    #: Which student produced the row (``"lstar"`` / ``"kv"``) — kept per
+    #: Which student produced the row (``"lstar"`` / ``"ttt"``) — kept per
     #: row so mixed-learner sweeps stay honest about who asked how much.
     learner: str = "lstar"
     #: Executed membership queries per equivalence round, in round order.
@@ -161,7 +161,7 @@ def run_table2(
     resumes from what it already measured.  ``kernel`` selects the simulator
     execution strategy (``auto``/``python``/``numpy``/``scalar``); answers,
     machines and probe columns are identical across kernels.  ``learner``
-    selects the student (``"lstar"`` or ``"kv"``); both learn identical
+    selects the student (``"lstar"`` or ``"ttt"``); both learn identical
     minimal machines, so state and match columns are learner-invariant.
     """
     if configurations is None:

@@ -97,7 +97,7 @@ class Table4Row:
     #: Executed membership queries of the shared query engine (like Table 2's
     #: column; worker-count-invariant since worker deltas merge on collect).
     membership_queries: int = 0
-    #: Which student produced the row (``"lstar"`` / ``"kv"``).
+    #: Which student produced the row (``"lstar"`` / ``"ttt"``).
     learner: str = "lstar"
     #: Executed membership queries per equivalence round, in round order.
     per_round_queries: tuple = ()
@@ -336,7 +336,8 @@ def run_table4(
     ``store``/``cache_path`` share one persistent
     :class:`~repro.store.PrefixStore` across every (CPU, level) target —
     frontend response caches and learning tries alike, one namespace per
-    target — saved after every configuration.
+    target — saved after every configuration.  ``learner`` selects the
+    student (``"lstar"`` or ``"ttt"``); both learn identical machines.
     """
     if configurations is None:
         configurations = table4_configurations(mode)

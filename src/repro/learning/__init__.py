@@ -34,7 +34,6 @@ from repro.learning.query_engine import (
 )
 from repro.learning.oracles import (
     CachedMembershipOracle,
-    DictCachedMembershipOracle,
     FunctionOracle,
     MealyMachineOracle,
     MembershipOracle,
@@ -77,7 +76,7 @@ from repro.learning.learner import (
     learn_mealy_machine,
     make_learner,
 )
-from repro.learning.kv import ClassificationTree, KVLearner
+from repro.learning.kv import ClassificationTree
 from repro.learning.ttt import TTTLearner, TTTTree
 
 __all__ = [
@@ -88,7 +87,6 @@ __all__ = [
     "supports_batching",
     "supports_resume",
     "CachedMembershipOracle",
-    "DictCachedMembershipOracle",
     "FunctionOracle",
     "MealyMachineOracle",
     "MembershipOracle",
@@ -121,7 +119,6 @@ __all__ = [
     "learn_mealy_machine",
     "make_learner",
     "ClassificationTree",
-    "KVLearner",
     "TTTLearner",
     "TTTTree",
 ]

@@ -1,50 +1,56 @@
-"""Kearns–Vazirani classification-tree learner for Mealy machines.
+"""The classification tree of the TTT learner (:mod:`repro.learning.ttt`).
 
 Where L* (:class:`~repro.learning.learner.MealyLearner`) refills an
-O(|S×Σ|·|E|) observation table on every stabilisation round, the
-Kearns–Vazirani learner maintains a *classification tree*: inner nodes
-carry distinguishing suffixes, leaves carry access words — one leaf per
-discovered state.  A word is classified by *sifting* it down the tree:
-at each inner node the oracle answers ``word + suffix`` and the output
-tail selects the child to descend into.  Sifting a word whose output
-tail has no child discovers a new state on the spot, without a
-counterexample.  Each equivalence counterexample is decomposed with the
-same Rivest–Schapire binary search as PR 4's suffix machinery and adds
-exactly one leaf (state) plus one discriminator, so every round does
-only the work the new evidence demands.
+O(|S×Σ|·|E|) observation table on every stabilisation round, a
+Kearns–Vazirani-style learner maintains a *classification tree*: inner
+nodes carry distinguishing suffixes, leaves carry access words — one leaf
+per discovered state.  A word is classified by *sifting* it down the
+tree: at each inner node the oracle answers ``word + suffix`` and the
+output tail selects the child to descend into.  Sifting a word whose
+output tail has no child discovers a new state on the spot, without a
+counterexample.  Each counterexample is decomposed with the
+Rivest–Schapire binary search and adds exactly one leaf (state) plus one
+discriminator.
 
-The learner plugs in behind the :class:`~repro.learning.learner.ActiveLearner`
-interface, so it transparently reuses
+On top of that structure the tree applies the two ideas of Isberner et
+al.'s TTT algorithm (the successor of KV that AALpy ships — see
+SNIPPETS.md snippet 1):
 
-* the batched query engine — every sift level of a hypothesis rebuild is
-  dispatched as one deduped / prefix-subsumed batch through
-  :func:`~repro.learning.query_engine.output_query_batch`;
-* the shared :class:`~repro.learning.parallel.WorkerPool` (sift batches
-  fan out across processes exactly like table-fill batches);
-* the simkernel ``--kernel`` path and ``--resume`` stores, which live
-  below the membership oracle and never see which learner is asking.
+* **Discriminator finalization** — a split's Rivest–Schapire suffix is
+  marked *temporary* and immediately challenged: single-symbol
+  candidates are verified with one batched probe round (the probe words
+  are the split leaves' output words, which the next hypothesis build
+  needs anyway, so the verification is almost free), and one-symbol
+  extensions of already-final discriminators are accepted when the
+  response trie can decide them without executing anything.  A candidate
+  replaces the temporary suffix only when real target answers prove it
+  induces exactly the same child partition, so the tree invariant — the
+  target separates the leaves at every inner node — survives every
+  re-keying.  A node that resists finalization at its split stays
+  temporary.
 
-Mealy-specific subtlety: intermediate KV hypotheses need not be minimal
-(two leaves can be merged behaviourally until a discriminator separates
-them *in the hypothesis*), but the Wp-method suite generator requires
-minimal machines (see :func:`~repro.learning.wpmethod.characterization_set`).
-:meth:`KVLearner._stable_hypothesis` therefore repairs minimality
-internally: any equivalent state pair yields an internal counterexample
-from the pair's lowest common ancestor suffix, which refines the tree
-without spending an equivalence query.  This is the classification-tree
-analogue of the PR 4 suffix-closure fix — every hypothesis handed to the
-conformance tester is minimal, so the minimize-and-warn fallback never
-fires.
+* **Incremental sifting** — the tree keeps a residency map from each
+  leaf to the transition words parked on it plus a persistent transition
+  and output table.  After a split only the words resident in the split
+  subtree re-sift (they descend exactly one level, through the — ideally
+  just finalized — new discriminator); everything else keeps its entry.
+  :meth:`ClassificationTree.hypothesis` therefore costs O(new evidence),
+  not O(all transitions).
+
+Every sift level is dispatched as one deduped / prefix-subsumed batch
+through :func:`~repro.learning.query_engine.output_query_batch` (or
+fanned out across a :class:`~repro.learning.parallel.WorkerPool`), so the
+tree reuses the query engine, the simkernel ``--kernel`` path and
+``--resume`` stores, which live below the membership oracle and never see
+which learner is asking.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.mealy import MealyMachine
-from repro.errors import BudgetExceeded, LearningError
-from repro.learning.learner import ActiveLearner, LearningResult
+from repro.errors import LearningError
 from repro.learning.oracles import MembershipOracle
 from repro.learning.parallel import WorkerPool
 from repro.learning.query_engine import output_query_batch
@@ -80,32 +86,24 @@ class _Leaf:
 class _Inner:
     """An inner node: a distinguishing suffix with output-tail children.
 
-    ``chain`` holds the single-symbol suffixes still to be laid out below
-    this node: the tree is seeded with one discriminator per input symbol
-    (the classification-tree analogue of L*'s initial columns), and the
-    chain materialises lazily as sifted words reach each level.
-
     ``temporary`` marks a discriminator taken verbatim from a
     Rivest–Schapire decomposition (so its length tracks the counterexample,
-    not the tree): plain KV never sets it, the TTT refinement
-    (:mod:`repro.learning.ttt`) flags split nodes and later finalizes them
-    to their shortest verified equivalent.
+    not the tree) that finalization has not yet replaced by a shorter
+    verified equivalent.
     """
 
-    __slots__ = ("suffix", "children", "parent", "key", "chain", "temporary")
+    __slots__ = ("suffix", "children", "parent", "key", "temporary")
 
     def __init__(
         self,
         suffix: Word,
         parent: Optional["_Inner"],
         key: Optional[OutputWord],
-        chain: Tuple[Word, ...] = (),
     ) -> None:
         self.suffix = suffix
         self.children: Dict[OutputWord, _Node] = {}
         self.parent = parent
         self.key = key
-        self.chain = chain
         self.temporary = False
 
 
@@ -113,14 +111,14 @@ _Node = Union[_Leaf, _Inner]
 
 
 class ClassificationTree:
-    """The discrimination data structure of the Kearns–Vazirani learner.
+    """Discrimination tree with finalization and incremental sifting.
 
-    The tree starts as a single leaf for the empty access word (the initial
-    state).  Two operations grow it:
+    The root is the one unavoidable Mealy discriminator, the first input
+    symbol; the initial state's leaf is created by the first
+    :meth:`hypothesis` call.  Two operations grow the tree:
 
-    * :meth:`sift` (and the batched sifting inside :meth:`hypothesis`)
-      creates a leaf whenever a word's output tail has no child yet —
-      sift-based state discovery;
+    * sifting inside :meth:`hypothesis` creates a leaf whenever a word's
+      output tail has no child yet — sift-based state discovery;
     * :meth:`split` replaces a leaf by an inner node with two children —
       the Rivest–Schapire decomposition of a counterexample.
 
@@ -147,31 +145,48 @@ class ClassificationTree:
         self.chunk_size = chunk_size
         self._access: List[Word] = []
         self._leaves: Dict[Word, _Leaf] = {}
+        # The tree holds only the discriminators its splits actually created
+        # (each finalized to the shortest verified candidate), so a sift pays
+        # for the discriminators on its path.  States that no single symbol
+        # at the root separates are discovered through counterexamples,
+        # whose Rivest–Schapire suffixes finalization then shortens.
+        self.root: _Node = _Inner((self.alphabet[0],), None, None)
+        # Persistent hypothesis state: the transition/output tables survive
+        # across rebuilds, and ``_pending`` holds the sift entries that still
+        # have to descend ([state, symbol, word, node]).  ``_residents`` maps
+        # each leaf to the transition words currently parked on it, so a
+        # split knows the *only* words its new discriminator can re-route.
+        self._transitions: Dict[Tuple[int, Input], int] = {}
+        self._outputs: Dict[Tuple[int, Input], Hashable] = {}
+        self._pending: List[List] = []
+        self._residents: Dict[_Leaf, List[Tuple[int, Input]]] = {}
+        self._scheduled_states = 0
+        self._bootstrapped = False
+        self._temporaries: List[_Inner] = []
         #: Growth accounting, reported by the pipeline: how many states each
         #: discovery mechanism contributed and how many internal minimality
         #: repairs ran.
         self.leaves_from_sifting = 0
         self.leaves_from_splits = 0
         self.internal_refinements = 0
-        # Seed the tree with one single-symbol discriminator per input (the
-        # analogue of L*'s initial columns): the first hypothesis already
-        # partitions states by output signature instead of starting from one
-        # merged state and paying an equivalence round per output split.
-        # The initial state's leaf is created lazily by the first
-        # :meth:`hypothesis` call, where ε's chain probes batch together with
-        # the speculative transition probes that prefix-subsume them.
-        chain = tuple((symbol,) for symbol in self.alphabet)
-        self.root: _Node = _Inner(chain[0], None, None, chain[1:])
+        #: Temporary discriminators replaced by a verified shortest candidate
+        #: (length-1 Rivest–Schapire suffixes count: they are already optimal).
+        self.discriminators_finalized = 0
+        #: ``(temporary length, finalized length)`` per finalization, in
+        #: finalization order — the "finalized never longer" pin.
+        self.finalization_shrinkage: List[Tuple[int, int]] = []
+        #: Transition words re-enqueued per split, in split order; each entry
+        #: is bounded by the split leaf's fan-in, not the transition table.
+        self.words_resifted_per_split: List[int] = []
+        #: Probe words submitted (mostly trie hits) while verifying
+        #: finalization candidates.
+        self.finalization_probe_words = 0
 
     # ------------------------------------------------------------- inspection
 
     @property
     def num_states(self) -> int:
         return len(self._access)
-
-    @property
-    def num_discriminators(self) -> int:
-        return len(self._access) - 1
 
     def access_words(self) -> Tuple[Word, ...]:
         """Access words in state order (state ``i`` → ``access_words()[i]``)."""
@@ -180,23 +195,11 @@ class ClassificationTree:
     def access_word(self, state: int) -> Word:
         return self._access[state]
 
-    def discriminators(self) -> Tuple[Word, ...]:
-        """All distinguishing suffixes currently in the tree (preorder)."""
-        suffixes: List[Word] = []
-        stack: List[_Node] = [self.root]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, _Inner):
-                suffixes.append(node.suffix)
-                stack.extend(node.children.values())
-        return tuple(suffixes)
-
     def discriminator_lengths(self) -> Dict[int, int]:
         """Histogram ``{suffix length: count}`` over the tree's discriminators.
 
-        Only discriminators with at least one leaf below them count — a
-        chain node that never materialised children is not a discriminator
-        the learner ever paid for.
+        Only discriminators with at least one leaf below them count, so the
+        root of a tree that has not built a hypothesis yet is not reported.
         """
         histogram: Dict[int, int] = {}
         stack: List[_Node] = [self.root]
@@ -213,6 +216,11 @@ class ClassificationTree:
         histogram = self.discriminator_lengths()
         return max(histogram) if histogram else 0
 
+    @property
+    def temporary_discriminators(self) -> int:
+        """Temporary discriminators still awaiting finalization."""
+        return sum(1 for node in self._temporaries if node.temporary)
+
     # -------------------------------------------------------------- internals
 
     def _answer_batch(self, words: Sequence[Word]) -> List[OutputWord]:
@@ -226,134 +234,102 @@ class ClassificationTree:
         parent: Optional[_Inner],
         key: Optional[OutputWord],
         *,
-        origin: str,
+        sifted: bool,
     ) -> _Leaf:
         leaf = _Leaf(access, len(self._access), parent, key)
         self._access.append(access)
         self._leaves[access] = leaf
         if parent is not None:
             parent.children[key] = leaf
-        if origin == "sift":
+        if sifted:
             self.leaves_from_sifting += 1
         else:
             self.leaves_from_splits += 1
         return leaf
 
-    def _create_child(self, word: Word, node: _Inner, key: OutputWord) -> _Node:
-        """Materialise the child for a fresh output tail under ``node``.
-
-        While the seeded single-symbol chain below ``node`` is not exhausted,
-        the child is the next chain discriminator; at the chain's bottom the
-        word has a genuinely new output signature and becomes a state.
-        """
-        if node.chain:
-            child: _Node = _Inner(node.chain[0], node, key, node.chain[1:])
-            node.children[key] = child
-            return child
-        return self._create_leaf(word, node, key, origin="sift")
-
-    # ------------------------------------------------------------------- sift
-
-    def sift(self, word: Word) -> _Leaf:
-        """Classify ``word`` down the tree, one serial query per level.
-
-        Used by tests and single-word callers; :meth:`hypothesis` uses the
-        batched level-synchronous variant instead.  Creates a leaf (state)
-        when the word's output tail reaches a child slot that is empty.
-        """
-        word = tuple(word)
-        node = self.root
-        while isinstance(node, _Inner):
-            answer = tuple(self.oracle.output_query(word + node.suffix))
-            key = answer[len(word):]
-            child = node.children.get(key)
-            if child is None:
-                child = self._create_child(word, node, key)
-            node = child
-        return node
-
     # ------------------------------------------------------------- hypothesis
 
     def hypothesis(self) -> MealyMachine:
-        """Build the hypothesis by sifting every one-symbol extension.
+        """Build the hypothesis by sifting only what moved.
 
         The sifts run level-synchronously: each iteration gathers the
         ``word + suffix`` probes of *all* transitions still descending and
-        answers them in one deduped / prefix-subsumed batch (fanned out
-        across the worker pool when one is attached).  New states discovered
-        mid-sift enqueue their own outgoing transitions, so the loop runs
-        until the transition table closes over the discovered state set.
-        Most probes repeat earlier sift levels and are served from the trie
-        without re-execution, which is what keeps KV's executed-query count
-        below L*'s table refills.
+        answers them in one deduped / prefix-subsumed batch.  New states
+        discovered mid-sift enqueue their own outgoing transitions, so the
+        loop runs until the transition table closes over the discovered
+        state set.  The entry list persists across calls: a call after a
+        split advances only the re-enqueued residents (plus the new state's
+        fresh transitions), and a call with nothing pending builds the
+        machine straight from the persistent tables without a single probe.
         """
-        transitions: Dict[Tuple[int, Input], int] = {}
-        # Entries are [state, symbol, word, node] and advance one tree level
-        # per batch; an entry is resolved once ``node`` is a leaf.  The first
-        # build bootstraps ε's sift (state is None: creates the initial
-        # state's leaf, records no transition) alongside state 0's
-        # speculative transition sifts, so ε's bare chain probes are
-        # prefix-subsumed by the length-2 transition probes in the same batch
-        # and never execute on their own.
-        active: List[List] = []
-        scheduled_states = 0
-        if not self._access:
-            active.append([None, None, (), self.root])
+        if not self._bootstrapped:
+            # The first build bootstraps ε's sift (state is None: creates the
+            # initial state's leaf, records no transition) alongside state
+            # 0's transition sifts, so ε's bare root probe is prefix-subsumed
+            # by the length-2 transition probes in the same batch and never
+            # executes on its own.
+            self._pending.append([None, None, (), self.root])
             for symbol in self.alphabet:
-                active.append([0, symbol, (symbol,), self.root])
-            scheduled_states = 1
+                self._pending.append([0, symbol, (symbol,), self.root])
+            self._scheduled_states = 1
+            self._bootstrapped = True
 
         while True:
-            while scheduled_states < len(self._access):
-                source = scheduled_states
+            while self._scheduled_states < len(self._access):
+                source = self._scheduled_states
                 base = self._access[source]
                 for symbol in self.alphabet:
-                    active.append([source, symbol, base + (symbol,), self.root])
-                scheduled_states += 1
+                    self._pending.append([source, symbol, base + (symbol,), self.root])
+                self._scheduled_states += 1
 
             still_sifting: List[List] = []
-            for entry in active:
+            for entry in self._pending:
                 node = entry[3]
                 if isinstance(node, _Leaf):
                     if entry[0] is not None:  # ε's bootstrap entry: no edge
-                        transitions[(entry[0], entry[1])] = node.state
+                        self._transitions[(entry[0], entry[1])] = node.state
+                        self._residents.setdefault(node, []).append(
+                            (entry[0], entry[1])
+                        )
                 else:
                     still_sifting.append(entry)
-            active = still_sifting
-            if not active:
-                if scheduled_states == len(self._access):
+            self._pending = still_sifting
+            if not self._pending:
+                if self._scheduled_states == len(self._access):
                     break
                 continue
 
-            probes = [entry[2] + entry[3].suffix for entry in active]
+            probes = [entry[2] + entry[3].suffix for entry in self._pending]
             answers = self._answer_batch(probes)
-            for entry, answer in zip(active, answers):
+            for entry, answer in zip(self._pending, answers):
                 word, node = entry[2], entry[3]
                 key = tuple(answer)[len(word):]
                 child = node.children.get(key)
                 if child is None:
-                    child = self._create_child(word, node, key)
+                    child = self._create_leaf(word, node, key, sifted=True)
                 entry[3] = child
 
-        output_words = [
-            self._access[state] + (symbol,)
+        # Output rows are keyed by (source state, symbol) and source access
+        # words never change, so only rows of newly discovered states are
+        # asked for.
+        missing = [
+            (state, symbol)
             for state in range(len(self._access))
             for symbol in self.alphabet
+            if (state, symbol) not in self._outputs
         ]
-        answers = self._answer_batch(output_words)
-        outputs: Dict[Tuple[int, Input], Hashable] = {}
-        index = 0
-        for state in range(len(self._access)):
-            for symbol in self.alphabet:
-                outputs[(state, symbol)] = answers[index][-1]
-                index += 1
+        if missing:
+            words = [self._access[state] + (symbol,) for state, symbol in missing]
+            answers = self._answer_batch(words)
+            for (state, symbol), answer in zip(missing, answers):
+                self._outputs[(state, symbol)] = answer[-1]
 
         return MealyMachine(
             states=list(range(len(self._access))),
             initial_state=0,
             inputs=list(self.alphabet),
-            transitions=transitions,
-            outputs=outputs,
+            transitions=dict(self._transitions),
+            outputs=dict(self._outputs),
         )
 
     # ------------------------------------------------------------- refinement
@@ -415,7 +391,10 @@ class ClassificationTree:
 
         ``suffix`` must produce different output tails after ``leaf.access``
         and ``new_access``; the old leaf and a fresh leaf for ``new_access``
-        become the inner node's two children, keyed by those tails.
+        become the inner node's two children, keyed by those tails.  The new
+        node starts temporary, is finalized when a shorter suffix provably
+        induces the same partition, and only the split leaf's resident
+        transition words re-sift through it.
         """
         suffix = tuple(suffix)
         new_access = tuple(new_access)
@@ -437,17 +416,39 @@ class ClassificationTree:
         leaf.parent = inner
         leaf.key = old_tail
         inner.children[old_tail] = leaf
-        new_leaf = self._create_leaf(new_access, inner, new_tail, origin="split")
-        self._on_split(inner, leaf, new_leaf)
+        new_leaf = self._create_leaf(new_access, inner, new_tail, sifted=False)
+
+        inner.temporary = True
+        self._temporaries.append(inner)
+        # Finalize the fresh node *before* re-sifting its residents, so the
+        # re-sift probes pay the finalized (short) suffix instead of the
+        # verbatim Rivest–Schapire one.  This is the ONLY finalization
+        # window: right now the subtree holds exactly the two split leaves
+        # and zero parked residents (the old leaf's are about to re-sift
+        # through ``inner`` with fresh probes — ``resift_leaf``), so the
+        # two-word partition check is exhaustive and re-keying is sound.
+        # Re-keying later, once residents have parked below the node on the
+        # strength of the *old* suffix, would need every one of them
+        # re-verified — a retry pass that profiling showed costs more than
+        # every split combined while (residents' answers under untried
+        # suffixes being absent from the trie) never deciding a candidate.
+        self._finalize_node(inner, resift_leaf=leaf)
+
+        residents = self._residents.pop(leaf, [])
+        requeued = 0
+        for state, symbol in residents:
+            word = self._access[state] + (symbol,)
+            if word == new_leaf.access:
+                # The transition whose target the counterexample disproved:
+                # its word *is* the new access word, so it lands on the new
+                # leaf by construction — no probe needed.
+                self._transitions[(state, symbol)] = new_leaf.state
+                self._residents.setdefault(new_leaf, []).append((state, symbol))
+            else:
+                self._pending.append([state, symbol, word, inner])
+                requeued += 1
+        self.words_resifted_per_split.append(requeued)
         return new_leaf
-
-    def _on_split(self, inner: _Inner, old_leaf: _Leaf, new_leaf: _Leaf) -> None:
-        """Hook invoked after :meth:`split` wires a new inner node in.
-
-        Plain KV does nothing; the TTT tree marks ``inner`` temporary,
-        finalizes it to a shorter discriminator when it can, and re-enqueues
-        only the transition words resident in the split subtree.
-        """
 
     def lca_suffix(self, state_a: int, state_b: int) -> Word:
         """Distinguishing suffix at the lowest common ancestor of two leaves.
@@ -469,6 +470,183 @@ class ClassificationTree:
                 return node.suffix
             node = node.parent
         raise LearningError("classification-tree leaves share no ancestor")
+
+    # ----------------------------------------------------------- finalization
+
+    def _leaves_below(self, node: _Node) -> List[_Leaf]:
+        leaves: List[_Leaf] = []
+        stack: List[_Node] = [node]
+        while stack:
+            current = stack.pop()
+            if isinstance(current, _Leaf):
+                leaves.append(current)
+            else:
+                stack.extend(current.children.values())
+        return leaves
+
+    def _final_discriminators(self, shorter_than: int) -> List[Word]:
+        """Distinct final discriminators usable as extension bases, i.e.
+        those whose one-symbol extension would still shrink the suffix."""
+        suffixes: List[Word] = []
+        seen = set()
+        stack: List[_Node] = [self.root]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, _Inner):
+                if (
+                    not node.temporary
+                    and node.children
+                    and len(node.suffix) + 1 < shorter_than
+                    and node.suffix not in seen
+                ):
+                    seen.add(node.suffix)
+                    suffixes.append(node.suffix)
+                stack.extend(node.children.values())
+        suffixes.sort(key=lambda s: (len(s), tuple(repr(symbol) for symbol in s)))
+        return suffixes
+
+    def _adopt(
+        self,
+        node: _Inner,
+        candidate: Word,
+        tails_by_child: List[Tuple[_Node, OutputWord]],
+    ) -> None:
+        """Re-key ``node`` to the verified shorter discriminator."""
+        self.finalization_shrinkage.append((len(node.suffix), len(candidate)))
+        node.suffix = candidate
+        node.temporary = False
+        node.children = {}
+        for child, tail in tails_by_child:
+            child.key = tail
+            node.children[tail] = child
+        self.discriminators_finalized += 1
+        # Any entry still sifting strictly below this node routed through it
+        # via the *old* suffix; restart it here so its descent re-derives
+        # from real answers to the new one.  (``refine`` only runs between
+        # completed builds, so this list is empty in practice — pure
+        # insurance.)
+        for entry in self._pending:
+            current = entry[3]
+            while current is not None and current is not node:
+                current = current.parent
+            if current is node and entry[3] is not node:
+                entry[3] = node
+
+    def _words_below(
+        self, node: _Inner, resift_leaf: Optional[_Leaf]
+    ) -> List[Tuple[_Node, List[Word]]]:
+        """Per-child words whose routing a candidate suffix must preserve.
+
+        That is every leaf access word below the child *plus* every resident
+        transition word parked on those leaves: a resident's target state may
+        not be separated from its leaf's by the tree yet, so leaf answers
+        alone cannot prove the resident keeps routing to the same side —
+        and a mis-parked resident becomes a mis-placed access word at its
+        leaf's next split, corrupting the tree.  ``resift_leaf`` (the leaf a
+        split is about to re-sift) contributes only its access word: its
+        residents re-route from fresh answers immediately afterwards.
+        """
+        words_by_child: List[Tuple[_Node, List[Word]]] = []
+        for child in node.children.values():
+            words: List[Word] = []
+            for leaf in self._leaves_below(child):
+                words.append(leaf.access)
+                if leaf is resift_leaf:
+                    continue
+                for state, symbol in self._residents.get(leaf, ()):
+                    word = self._access[state] + (symbol,)
+                    if word != leaf.access:
+                        words.append(word)
+            words_by_child.append((child, words))
+        return words_by_child
+
+    def _partition(
+        self,
+        words_by_child: List[Tuple[_Node, List[Word]]],
+        answer_for,
+    ) -> Optional[List[Tuple[_Node, OutputWord]]]:
+        """Child re-keying for a candidate, or None when the partition breaks.
+
+        Valid iff every child subtree's words share one output tail and the
+        tails stay pairwise distinct — exactly the condition under which
+        swapping the suffix preserves which child every word below the node
+        (leaf access words and parked residents alike) routes to.
+        """
+        tails_by_child: List[Tuple[_Node, OutputWord]] = []
+        seen_tails = set()
+        for child, words in words_by_child:
+            tails = set()
+            for word in words:
+                answer = answer_for(word)
+                if answer is None:
+                    return None
+                tails.add(tuple(answer)[len(word):])
+            if len(tails) != 1:
+                return None
+            tail = tails.pop()
+            if tail in seen_tails:
+                return None
+            seen_tails.add(tail)
+            tails_by_child.append((child, tail))
+        return tails_by_child
+
+    def _finalize_node(self, node: _Inner, *, resift_leaf: _Leaf) -> None:
+        """Try to replace ``node``'s temporary suffix with a shorter one.
+
+        Single-symbol candidates are verified with one real batched probe
+        round; one-symbol extensions of final discriminators are decided
+        from the response trie alone.
+        """
+        length = len(node.suffix)
+        if length <= 1:
+            # A one-symbol Rivest–Schapire suffix is already as short as a
+            # Mealy discriminator can be.
+            node.temporary = False
+            self.discriminators_finalized += 1
+            self.finalization_shrinkage.append((length, length))
+            return
+        words_by_child = self._words_below(node, resift_leaf)
+        all_words = [word for _, words in words_by_child for word in words]
+
+        # One deduped/prefix-subsumed batch: at a fresh split the words are
+        # just the two leaves' access words, and their probe words are
+        # output words the next hypothesis build needs anyway — so this
+        # verification costs (almost) nothing beyond moving those
+        # executions earlier.
+        singles = [(symbol,) for symbol in self.alphabet]
+        probes = [word + candidate for candidate in singles for word in all_words]
+        self.finalization_probe_words += len(probes)
+        flat = self._answer_batch(probes)
+        answers: Dict[Tuple[Word, Word], OutputWord] = {}
+        index = 0
+        for candidate in singles:
+            for word in all_words:
+                answers[(candidate, word)] = flat[index]
+                index += 1
+
+        for candidate in singles:
+            tails = self._partition(
+                words_by_child, lambda word: answers.get((candidate, word))
+            )
+            if tails is not None:
+                self._adopt(node, candidate, tails)
+                return
+
+        cached_answer = getattr(self.oracle, "cached_answer", None)
+        if cached_answer is None:
+            return
+        # One-symbol extensions of already-final discriminators, shortest
+        # first, decided purely from the response trie — no executions.
+        for base in self._final_discriminators(shorter_than=length):
+            for symbol in self.alphabet:
+                candidate = (symbol,) + base
+                tails = self._partition(
+                    words_by_child,
+                    lambda word: cached_answer(word + candidate),
+                )
+                if tails is not None:
+                    self._adopt(node, candidate, tails)
+                    return
 
 
 def equivalent_state_pair(machine: MealyMachine) -> Optional[Tuple[int, int]]:
@@ -509,134 +687,3 @@ def equivalent_state_pair(machine: MealyMachine) -> Optional[Tuple[int, int]]:
         if len(block) > 1:
             return block[0], block[1]
     return None
-
-
-class KVLearner(ActiveLearner):
-    """Classification-tree (Kearns–Vazirani) learner behind the
-    :class:`~repro.learning.learner.ActiveLearner` interface.
-
-    Constructor, engine wrapping, pool semantics and result shape match
-    :class:`~repro.learning.learner.MealyLearner`; only the hypothesis
-    data structure differs.  Rivest–Schapire is the only supported
-    counterexample strategy — the global prefix strategy is meaningless
-    for a tree that refines via single splits, so requesting
-    ``counterexample_strategy="prefixes"`` raises
-    :class:`~repro.errors.LearningError` at construction time.
-    """
-
-    name = "kv"
-    counterexample_strategies = ("rivest-schapire",)
-
-    #: Tree implementation the learner builds; the TTT learner swaps in its
-    #: finalizing/incrementally-sifting subclass without re-stating the loop.
-    tree_class = ClassificationTree
-
-    #: The classification tree of the current/most recent run (None before
-    #: :meth:`learn`); exposed so budget-interrupted runs stay inspectable.
-    tree: Optional[ClassificationTree] = None
-
-    @property
-    def states_discovered(self) -> int:
-        """Leaves created so far — exact state count, readable mid-run."""
-        return self.tree.num_states if self.tree is not None else 0
-
-    def _stable_hypothesis(self, tree: ClassificationTree) -> MealyMachine:
-        """Build a hypothesis and repair it to minimality without
-        spending equivalence queries.
-
-        An intermediate KV hypothesis can merge two discovered states
-        behaviourally even though the tree distinguishes their access words.
-        For any equivalent pair, the LCA discriminator yields an internal
-        counterexample (the target disagrees with the hypothesis on at least
-        one of ``access(q) + suffix``), which :meth:`ClassificationTree.refine`
-        turns into a split.  Each repair adds a state, so the loop is bounded
-        by the target's state count.
-        """
-        hypothesis = tree.hypothesis()
-        while True:
-            pair = equivalent_state_pair(hypothesis)
-            if pair is None:
-                return hypothesis
-            suffix = tree.lca_suffix(*pair)
-            for state in pair:
-                probe = tree.access_word(state) + suffix
-                if tuple(self.membership_oracle.output_query(probe)) != hypothesis.run(probe):
-                    tree.internal_refinements += 1
-                    tree.refine(hypothesis, probe)
-                    break
-            else:
-                # Unreachable: equivalent hypothesis states answer the suffix
-                # identically, but the target separates the two access words.
-                raise LearningError(
-                    "classification tree separates states "
-                    f"{pair[0]} and {pair[1]} but no internal counterexample "
-                    "distinguishes them"
-                )
-            hypothesis = tree.hypothesis()
-
-    def _learn(self) -> LearningResult:
-        start = time.perf_counter()
-        self._suite_queries = 0
-        self._suite_symbols = 0
-        origin = self._executed_queries()
-        symbol_origin = self._executed_symbols()
-        round_mark = origin
-        per_round_queries: List[int] = []
-        tree = self.tree_class(
-            self.alphabet,
-            self.membership_oracle,
-            pool=self.pool,
-            chunk_size=self.fill_chunk_size,
-        )
-        self.tree = tree
-        counterexamples: List[Word] = []
-
-        hypothesis = self._stable_hypothesis(tree)
-
-        for round_number in range(1, self.max_rounds + 1):
-            counterexample = self._find_counterexample(hypothesis)
-            if counterexample is None:
-                per_round_queries.append(self._executed_queries() - round_mark)
-                elapsed = time.perf_counter() - start
-                return LearningResult(
-                    machine=hypothesis.relabel(),
-                    rounds=round_number,
-                    learning_seconds=elapsed,
-                    statistics=self._collect_statistics(),
-                    counterexamples=counterexamples,
-                    per_round_queries=per_round_queries,
-                    learner=self.name,
-                    learner_queries=self._executed_queries()
-                    - origin
-                    - self._suite_queries,
-                    learner_symbols=self._executed_symbols()
-                    - symbol_origin
-                    - self._suite_symbols,
-                )
-            word = tuple(counterexample)
-            counterexamples.append(word)
-            # Exhaust the counterexample: a single split often leaves the word
-            # disagreeing with the refined hypothesis, and re-checking it is a
-            # trie cache hit — so KV keeps splitting on the same evidence
-            # instead of spending a fresh equivalence round (and its newly
-            # executed suite words) per discovered state.
-            while hypothesis.run(word) != tuple(self.membership_oracle.output_query(word)):
-                previous_size = hypothesis.size
-                tree.refine(hypothesis, word)
-                hypothesis = self._stable_hypothesis(tree)
-                if hypothesis.size <= previous_size:
-                    # Every split adds a leaf and hypothesis states are
-                    # leaves, so a non-growing hypothesis means the tree is
-                    # corrupted.
-                    raise LearningError(
-                        "classification-tree refinement failed to add a state "
-                        f"for counterexample {list(word)}"
-                    )
-            per_round_queries.append(self._executed_queries() - round_mark)
-            round_mark = self._executed_queries()
-
-        raise BudgetExceeded(
-            f"learning did not converge within {self.max_rounds} rounds",
-            spent=self.max_rounds,
-            budget=self.max_rounds,
-        )

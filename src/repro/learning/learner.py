@@ -4,16 +4,17 @@ Two learners implement the student side behind one interface:
 
 * :class:`MealyLearner` — Angluin's L* with an observation table
   (:mod:`repro.learning.observation_table`), the paper's configuration;
-* :class:`~repro.learning.kv.KVLearner` — the Kearns–Vazirani
-  classification-tree learner (:mod:`repro.learning.kv`), which refines a
-  discrimination tree per counterexample instead of refilling an
-  O(|S×Σ|·|E|) table every round.
+* :class:`~repro.learning.ttt.TTTLearner` — the classification-tree
+  learner (:mod:`repro.learning.ttt`, tree in :mod:`repro.learning.kv`),
+  which refines a discrimination tree per counterexample instead of
+  refilling an O(|S×Σ|·|E|) table every round.
 
 Both share :class:`ActiveLearner`: the query-engine wrapping, worker-pool
-ownership, per-round executed-query accounting and statistics collection
-live here once, so the learners differ only in *how* they turn answers
-into hypotheses.  :func:`make_learner` builds either by name (the
-``--learner {lstar,kv}`` knob of the pipeline and CLI).
+ownership, per-round executed-query accounting, result building and
+statistics collection live here once, so the learners differ only in
+*how* they turn answers into hypotheses.  :func:`make_learner` builds
+either by name (the ``--learner {lstar,ttt}`` knob of the pipeline and
+CLI).
 
 The loop mirrors Section 3.4 of the paper: the membership oracle is Polca
 (or any other output-query oracle), the equivalence oracle is the k-deep
@@ -38,7 +39,6 @@ from repro.learning.equivalence import EquivalenceOracle
 from repro.learning.observation_table import ObservationTable
 from repro.learning.oracles import (
     CachedMembershipOracle,
-    DictCachedMembershipOracle,
     MembershipOracle,
     QueryStatistics,
 )
@@ -47,11 +47,8 @@ from repro.learning.parallel import OracleFactory, WorkerPool
 Input = Hashable
 Word = Tuple[Input, ...]
 
-#: Cache backends selectable via ``ActiveLearner(cache_backend=...)``.
-CACHE_BACKENDS = ("trie", "dict")
-
 #: Learner names accepted by :func:`make_learner` (and the ``--learner`` knob).
-LEARNER_NAMES = ("lstar", "kv", "ttt")
+LEARNER_NAMES = ("lstar", "ttt")
 
 
 @dataclass
@@ -67,21 +64,21 @@ class LearningResult:
     #: (the refinement that produced a round's hypothesis counts toward that
     #: round).  Sums to ``statistics.membership_queries`` for cached engines.
     per_round_queries: List[int] = field(default_factory=list)
-    #: Name of the learner that produced this result (``"lstar"`` / ``"kv"``).
+    #: Name of the learner that produced this result (``"lstar"`` / ``"ttt"``).
     learner: str = "lstar"
     #: Executed membership queries attributed to the learner's own probes —
     #: the engine total minus what the equivalence oracle executed through
     #: the shared engine.  This is the apples-to-apples cost of the learning
     #: algorithm itself: the conformance suite's vocabulary overlaps more
-    #: with L*'s table words than with KV's sift probes, so engine totals
+    #: with L*'s table words than with TTT's sift probes, so engine totals
     #: mix the two cost centres.
     learner_queries: int = 0
     #: Executed membership *symbols* attributed to the learner's own probes
     #: (engine symbol total minus suite executions) — the companion of
     #: :attr:`learner_queries` that shows discriminator-length wins: two
     #: learners can execute the same number of probe words while one pays
-    #: far fewer symbols per word (TTT's finalized discriminators vs KV's
-    #: verbatim Rivest–Schapire suffixes).
+    #: far fewer symbols per word (TTT's finalized discriminators vs L*'s
+    #: suffix columns).
     learner_symbols: int = 0
 
     @property
@@ -105,17 +102,14 @@ class ActiveLearner:
 
     Membership queries flow through the batched query engine: unless
     ``cache_queries`` is off, the oracle is wrapped in a
-    :class:`~repro.learning.oracles.CachedMembershipOracle` (trie backend)
-    or, for baseline measurements, the legacy
-    :class:`~repro.learning.oracles.DictCachedMembershipOracle`
-    (``cache_backend="dict"``).  An oracle that is already one of the two
-    cache types is used as-is, which lets callers share one engine between
-    the learner and the equivalence oracle.
+    :class:`~repro.learning.oracles.CachedMembershipOracle`.  An oracle
+    that already is one is used as-is, which lets callers share one engine
+    between the learner and the equivalence oracle.
 
     With ``workers=N`` (N > 1) and a picklable ``oracle_factory`` — or an
     existing :class:`~repro.learning.parallel.WorkerPool` via ``pool=`` —
     the learner's per-round query batches (table fill for L*, sift rounds
-    for KV) fan out across worker processes; answers merge back through the
+    for TTT) fan out across worker processes; answers merge back through the
     shared query engine in chunk-index order, so parallel runs learn
     machines bit-identical to serial ones.  An owned pool (built from
     ``workers=``) is shut down when :meth:`learn` returns; a shared pool
@@ -137,7 +131,6 @@ class ActiveLearner:
         counterexample_strategy: str = "rivest-schapire",
         max_rounds: int = 10_000,
         cache_queries: bool = True,
-        cache_backend: str = "trie",
         workers: Optional[int] = None,
         oracle_factory: Optional[OracleFactory] = None,
         pool: Optional[WorkerPool] = None,
@@ -149,21 +142,13 @@ class ActiveLearner:
                 f"{counterexample_strategy!r}; expected one of "
                 f"{self.counterexample_strategies}"
             )
-        if cache_backend not in CACHE_BACKENDS:
-            raise LearningError(
-                f"unknown cache backend {cache_backend!r}; expected one of {CACHE_BACKENDS}"
-            )
         if pool is not None and (workers is not None or oracle_factory is not None):
             raise LearningError(
                 "pass either a shared pool or workers/oracle_factory, not both"
             )
         self.alphabet = tuple(alphabet)
-        if not cache_queries or isinstance(
-            membership_oracle, (CachedMembershipOracle, DictCachedMembershipOracle)
-        ):
+        if not cache_queries or isinstance(membership_oracle, CachedMembershipOracle):
             self.membership_oracle: MembershipOracle = membership_oracle
-        elif cache_backend == "dict":
-            self.membership_oracle = DictCachedMembershipOracle(membership_oracle)
         else:
             self.membership_oracle = CachedMembershipOracle(membership_oracle)
         self.equivalence_oracle = equivalence_oracle
@@ -178,8 +163,6 @@ class ActiveLearner:
             self._owns_pool = True
         elif workers is not None and workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        self._suite_queries = 0
-        self._suite_symbols = 0
 
     def learn(self) -> LearningResult:
         """Run the learning loop until the equivalence oracle is satisfied."""
@@ -193,6 +176,50 @@ class ActiveLearner:
         raise NotImplementedError  # pragma: no cover - subclasses implement
 
     # ------------------------------------------------------------- accounting
+
+    def _start_run(self) -> None:
+        """Zero the run's clock and query accounting before its first probe."""
+        self._started = time.perf_counter()
+        self._suite_queries = 0
+        self._suite_symbols = 0
+        self._query_origin = self._round_mark = self._executed_queries()
+        self._symbol_origin = self._executed_symbols()
+        self._per_round_queries: List[int] = []
+
+    def _end_round(self) -> None:
+        """Record the executed queries of the equivalence round just closed
+        (the refinement that produced a round's hypothesis counts toward it)."""
+        executed = self._executed_queries()
+        self._per_round_queries.append(executed - self._round_mark)
+        self._round_mark = executed
+
+    def _result(
+        self, hypothesis: MealyMachine, rounds: int, counterexamples: List[Word]
+    ) -> LearningResult:
+        """Close the final round and package the accepted hypothesis."""
+        self._end_round()
+        return LearningResult(
+            machine=hypothesis.relabel(),
+            rounds=rounds,
+            learning_seconds=time.perf_counter() - self._started,
+            statistics=self._collect_statistics(),
+            counterexamples=counterexamples,
+            per_round_queries=self._per_round_queries,
+            learner=self.name,
+            learner_queries=self._executed_queries()
+            - self._query_origin
+            - self._suite_queries,
+            learner_symbols=self._executed_symbols()
+            - self._symbol_origin
+            - self._suite_symbols,
+        )
+
+    def _rounds_exhausted(self) -> BudgetExceeded:
+        return BudgetExceeded(
+            f"learning did not converge within {self.max_rounds} rounds",
+            spent=self.max_rounds,
+            budget=self.max_rounds,
+        )
 
     @property
     def states_discovered(self) -> int:
@@ -274,13 +301,7 @@ class MealyLearner(ActiveLearner):
             process_counterexample_prefixes(table, counterexample)
 
     def _learn(self) -> LearningResult:
-        start = time.perf_counter()
-        self._suite_queries = 0
-        self._suite_symbols = 0
-        origin = self._executed_queries()
-        symbol_origin = self._executed_symbols()
-        round_mark = origin
-        per_round_queries: List[int] = []
+        self._start_run()
         table = ObservationTable(
             self.alphabet,
             self.membership_oracle,
@@ -296,23 +317,7 @@ class MealyLearner(ActiveLearner):
         for round_number in range(1, self.max_rounds + 1):
             counterexample = self._find_counterexample(hypothesis)
             if counterexample is None:
-                per_round_queries.append(self._executed_queries() - round_mark)
-                elapsed = time.perf_counter() - start
-                return LearningResult(
-                    machine=hypothesis.relabel(),
-                    rounds=round_number,
-                    learning_seconds=elapsed,
-                    statistics=self._collect_statistics(),
-                    counterexamples=counterexamples,
-                    per_round_queries=per_round_queries,
-                    learner=self.name,
-                    learner_queries=self._executed_queries()
-                    - origin
-                    - self._suite_queries,
-                    learner_symbols=self._executed_symbols()
-                    - symbol_origin
-                    - self._suite_symbols,
-                )
+                return self._result(hypothesis, round_number, counterexamples)
             counterexamples.append(tuple(counterexample))
             previous_size = hypothesis.size
             self._refine(table, hypothesis, tuple(counterexample))
@@ -326,14 +331,9 @@ class MealyLearner(ActiveLearner):
                 process_counterexample_prefixes(table, tuple(counterexample))
                 table.make_closed_and_consistent()
                 hypothesis = table.hypothesis()
-            per_round_queries.append(self._executed_queries() - round_mark)
-            round_mark = self._executed_queries()
+            self._end_round()
 
-        raise BudgetExceeded(
-            f"learning did not converge within {self.max_rounds} rounds",
-            spent=self.max_rounds,
-            budget=self.max_rounds,
-        )
+        raise self._rounds_exhausted()
 
 
 def make_learner(
@@ -343,7 +343,7 @@ def make_learner(
     equivalence_oracle: EquivalenceOracle,
     **kwargs,
 ) -> ActiveLearner:
-    """Build a learner by registry name (``"lstar"``, ``"kv"`` or ``"ttt"``).
+    """Build a learner by registry name (``"lstar"`` or ``"ttt"``).
 
     This is the single construction point behind the ``--learner`` knob of
     the pipeline, the experiment tables and the CLI; unknown names raise
@@ -362,17 +362,13 @@ def make_learner(
 def _learner_class(name: str):
     """Resolve a registry name to its learner class (None when unknown).
 
-    The tree learners import lazily so ``repro.learning.learner`` stays
-    import-cycle-free (:mod:`repro.learning.kv` imports this module for the
+    The tree learner imports lazily so ``repro.learning.learner`` stays
+    import-cycle-free (:mod:`repro.learning.ttt` imports this module for the
     :class:`ActiveLearner` base).
     """
     normalized = name.lower()
     if normalized == "lstar":
         return MealyLearner
-    if normalized == "kv":
-        from repro.learning.kv import KVLearner
-
-        return KVLearner
     if normalized == "ttt":
         from repro.learning.ttt import TTTLearner
 

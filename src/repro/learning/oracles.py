@@ -21,15 +21,13 @@ The module provides:
   supports resume), and detects non-determinism (two executions of the same
   prefix giving different outputs), which the paper uses to reject bad
   reset sequences;
-* :class:`DictCachedMembershipOracle` — the pre-trie, per-word dictionary
-  cache, retained as the baseline for ``benchmarks/bench_query_engine.py``;
 * :class:`QueryStatistics` — counters reported by the experiment harness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Callable, Dict, Hashable, List, Optional, Protocol, Sequence, Tuple
+from typing import Callable, Hashable, List, Optional, Protocol, Sequence, Tuple
 
 from repro.core.mealy import MealyMachine
 from repro.errors import NonDeterminismError, OutputLengthMismatchError
@@ -324,59 +322,3 @@ class CachedMembershipOracle:
     def clear(self) -> None:
         """Drop all cached responses."""
         self._trie.clear()
-
-
-class DictCachedMembershipOracle:
-    """The pre-trie response cache: one dictionary entry per cached prefix.
-
-    This is the seed implementation of :class:`CachedMembershipOracle`,
-    retained verbatim (minus the length-mismatch bug) so
-    ``benchmarks/bench_query_engine.py`` can measure the engine against the
-    exact baseline it replaced.  New code should use the trie-backed cache.
-    """
-
-    def __init__(self, delegate: MembershipOracle) -> None:
-        self._delegate = delegate
-        self._cache: Dict[Word, OutputWord] = {}
-        self.statistics = QueryStatistics()
-
-    def output_query(self, word: Sequence[Input]) -> OutputWord:
-        word = tuple(word)
-        cached = self._cache.get(word)
-        if cached is not None:
-            self.statistics.cache_hits += 1
-            return cached
-        self.statistics.record_query(len(word))
-        outputs = tuple(self._delegate.output_query(word))
-        if len(outputs) != len(word):
-            raise OutputLengthMismatchError(word, outputs)
-        self._check_consistency(word, outputs)
-        # Store the word and all its prefixes.
-        for length in range(1, len(word) + 1):
-            self._cache.setdefault(word[:length], outputs[:length])
-        return outputs
-
-    def output_query_batch(self, words: Sequence[Sequence[Input]]) -> List[OutputWord]:
-        """Answer a batch word by word, in order — the seed's exact behaviour.
-
-        No deduplication or prefix-subsumption happens here on purpose: this
-        class is the measurement baseline, and the seed executed each word
-        individually (relying only on the per-word dictionary for repeats).
-        """
-        self.statistics.batches += 1
-        return [self.output_query(word) for word in words]
-
-    def _check_consistency(self, word: Word, outputs: OutputWord) -> None:
-        for length in range(1, len(word) + 1):
-            cached = self._cache.get(word[:length])
-            if cached is not None and cached != outputs[:length]:
-                raise NonDeterminismError(word[:length], cached, outputs[:length])
-
-    @property
-    def size(self) -> int:
-        """Number of cached words (including implied prefixes)."""
-        return len(self._cache)
-
-    def clear(self) -> None:
-        """Drop all cached responses."""
-        self._cache.clear()

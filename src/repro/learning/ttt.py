@@ -1,432 +1,137 @@
-"""TTT-style refinement of the Kearns–Vazirani classification tree.
+"""TTT learner: the classification-tree student behind ``--learner ttt``.
 
-PR 7's :class:`~repro.learning.kv.ClassificationTree` keeps every
-Rivest–Schapire suffix verbatim, so discriminators grow with
-counterexample length, and every :meth:`hypothesis` rebuild re-sifts
-*all* transition words from the root.  Both costs are constants the tree
-never earns back: sift probes pay the discriminator's length on every
-descent, and the full re-sift repeats thousands of trie lookups per
-rebuild just to land every word on the leaf it already occupied.
+:class:`TTTLearner` drives a :class:`~repro.learning.kv.ClassificationTree`
+(discriminator finalization + incremental sifting, after Isberner et al.'s
+TTT algorithm) through the equivalence loop of
+:class:`~repro.learning.learner.ActiveLearner`.  Rivest–Schapire is the
+only counterexample strategy: the tree refines one split at a time, so the
+global prefix strategy of L* is meaningless here.
 
-:class:`TTTTree` applies the two ideas of Isberner et al.'s TTT
-algorithm (the successor of KV that AALpy ships — see SNIPPETS.md
-snippet 1):
+Mealy-specific subtlety: intermediate tree hypotheses need not be minimal
+(two leaves can be merged behaviourally until a discriminator separates
+them *in the hypothesis*), but the Wp-method suite generator requires
+minimal machines (see :func:`~repro.learning.wpmethod.characterization_set`).
+:meth:`TTTLearner._stable_hypothesis` therefore repairs minimality
+internally: any equivalent state pair yields an internal counterexample
+from the pair's lowest common ancestor suffix, which refines the tree
+without spending an equivalence query.  Every hypothesis handed to the
+conformance tester is minimal, so the minimize-and-warn fallback never
+fires.
 
-* **Discriminator finalization** — a split's Rivest–Schapire suffix is
-  marked *temporary* and immediately challenged: single-symbol
-  candidates are verified with one batched probe round (the probe words
-  are the split leaves' output words, which the next hypothesis build
-  needs anyway, so the verification is almost free), and one-symbol
-  extensions of already-final discriminators are accepted when the
-  response trie can decide them without executing anything.  A candidate
-  replaces the temporary suffix only when real target answers prove it
-  induces exactly the same child partition, so the tree invariant — the
-  target separates the leaves at every inner node — survives every
-  re-keying.  Temporary nodes that resist finalization are retried
-  (trie-only) after each later split, when new answers may have made a
-  short candidate decidable.
-
-* **Incremental sifting** — the tree keeps a residency map from each
-  leaf to the transition words parked on it plus a persistent transition
-  and output table.  After a split only the words resident in the split
-  subtree re-sift (they descend exactly one level, through the — ideally
-  just finalized — new discriminator); everything else keeps its entry.
-  ``hypothesis()`` therefore costs O(new evidence), not O(all
-  transitions), which removes the constant fan-in re-sift overhead
-  ``tests/test_kv.py`` pins on NRU.
-
-The learned machines stay bit-identical to L*'s and KV's: every learner
-converges on the canonical minimal machine of the target, whatever
-refinement trajectory it takes (the same argument that lets KV and L*
-disagree on every intermediate hypothesis yet return ``==``-equal
-machines).
+The learned machines are bit-identical to L*'s: every learner converges on
+the canonical minimal machine of the target, whatever refinement
+trajectory it takes.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Hashable, List, Optional, Tuple
 
 from repro.core.mealy import MealyMachine
-from repro.learning.kv import ClassificationTree, KVLearner, _Inner, _Leaf, _Node
-from repro.learning.oracles import MembershipOracle
-from repro.learning.parallel import WorkerPool
+from repro.errors import LearningError
+from repro.learning.kv import ClassificationTree, equivalent_state_pair
+from repro.learning.learner import ActiveLearner, LearningResult
 
-Input = Hashable
-Word = Tuple[Input, ...]
-OutputWord = Tuple[Hashable, ...]
+Word = Tuple[Hashable, ...]
 
-
-class TTTTree(ClassificationTree):
-    """A classification tree with discriminator finalization and
-    incremental sifting (see the module docstring for the algorithm)."""
-
-    def __init__(
-        self,
-        alphabet: Sequence[Input],
-        oracle: MembershipOracle,
-        *,
-        pool: Optional[WorkerPool] = None,
-        chunk_size: int = 64,
-    ) -> None:
-        super().__init__(alphabet, oracle, pool=pool, chunk_size=chunk_size)
-        # No seeded single-symbol chain: a TTT tree holds only the
-        # discriminators its splits actually created (each finalized to the
-        # shortest verified candidate), so a sift pays for the discriminators
-        # on its path instead of answering every single-symbol suffix the way
-        # the base class's L*-style seeding makes it.  The root is the one
-        # unavoidable Mealy discriminator — some single symbol — and the
-        # states the chain used to separate for free are discovered through
-        # counterexamples, whose Rivest–Schapire suffixes the singles tier
-        # then finalizes right back down to length one.
-        self.root = _Inner((alphabet[0],), None, None, ())
-        # Persistent hypothesis state: the transition/output tables survive
-        # across rebuilds, and ``_pending`` holds the sift entries that still
-        # have to descend ([state, symbol, word, node], exactly the base
-        # class's shape).  ``_residents`` maps each leaf to the transition
-        # words currently parked on it, so a split knows the *only* words its
-        # new discriminator can re-route.
-        self._transitions: Dict[Tuple[int, Input], int] = {}
-        self._outputs: Dict[Tuple[int, Input], Hashable] = {}
-        self._pending: List[List] = []
-        self._residents: Dict[_Leaf, List[Tuple[int, Input]]] = {}
-        self._scheduled_states = 0
-        self._bootstrapped = False
-        self._temporaries: List[_Inner] = []
-        #: Temporary discriminators replaced by a verified shortest candidate
-        #: (length-1 Rivest–Schapire suffixes count: they are already optimal).
-        self.discriminators_finalized = 0
-        #: ``(temporary length, finalized length)`` per finalization, in
-        #: finalization order — the "finalized never longer" pin.
-        self.finalization_shrinkage: List[Tuple[int, int]] = []
-        #: Transition words re-enqueued per split, in split order.  Plain KV
-        #: re-sifts every transition word on every rebuild; each entry here is
-        #: bounded by the split leaf's fan-in instead.
-        self.words_resifted_per_split: List[int] = []
-        #: Probe words submitted (mostly trie hits) while verifying
-        #: finalization candidates.
-        self.finalization_probe_words = 0
-
-    # ------------------------------------------------------------- inspection
-
-    @property
-    def temporary_discriminators(self) -> int:
-        """Temporary discriminators still awaiting finalization."""
-        return sum(1 for node in self._temporaries if node.temporary)
-
-    # ------------------------------------------------------------- hypothesis
-
-    def hypothesis(self) -> MealyMachine:
-        """Rebuild the hypothesis by sifting only what moved.
-
-        Identical level-synchronous batching to the base class, but the
-        entry list persists across calls: a call after a split advances only
-        the re-enqueued residents (plus the new state's fresh transitions),
-        and a call with nothing pending builds the machine straight from the
-        persistent tables without a single probe.
-        """
-        if not self._access and not self._bootstrapped:
-            # The same ε-bootstrap as the base class: the initial state's
-            # leaf is created by its sift, batched with state 0's transition
-            # probes that prefix-subsume ε's bare chain probes.
-            self._pending.append([None, None, (), self.root])
-            for symbol in self.alphabet:
-                self._pending.append([0, symbol, (symbol,), self.root])
-            self._scheduled_states = 1
-            self._bootstrapped = True
-
-        while True:
-            while self._scheduled_states < len(self._access):
-                source = self._scheduled_states
-                base = self._access[source]
-                for symbol in self.alphabet:
-                    self._pending.append([source, symbol, base + (symbol,), self.root])
-                self._scheduled_states += 1
-
-            still_sifting: List[List] = []
-            for entry in self._pending:
-                node = entry[3]
-                if isinstance(node, _Leaf):
-                    if entry[0] is not None:  # ε's bootstrap entry: no edge
-                        self._transitions[(entry[0], entry[1])] = node.state
-                        self._residents.setdefault(node, []).append(
-                            (entry[0], entry[1])
-                        )
-                else:
-                    still_sifting.append(entry)
-            self._pending = still_sifting
-            if not self._pending:
-                if self._scheduled_states == len(self._access):
-                    break
-                continue
-
-            probes = [entry[2] + entry[3].suffix for entry in self._pending]
-            answers = self._answer_batch(probes)
-            for entry, answer in zip(self._pending, answers):
-                word, node = entry[2], entry[3]
-                key = tuple(answer)[len(word):]
-                child = node.children.get(key)
-                if child is None:
-                    child = self._create_child(word, node, key)
-                entry[3] = child
-
-        # Output rows are keyed by (source state, symbol) and source access
-        # words never change, so only rows of newly discovered states are
-        # asked for (the base class re-asks every row each rebuild and leans
-        # on the trie to make the repeats free).
-        missing = [
-            (state, symbol)
-            for state in range(len(self._access))
-            for symbol in self.alphabet
-            if (state, symbol) not in self._outputs
-        ]
-        if missing:
-            words = [self._access[state] + (symbol,) for state, symbol in missing]
-            answers = self._answer_batch(words)
-            for (state, symbol), answer in zip(missing, answers):
-                self._outputs[(state, symbol)] = answer[-1]
-
-        return MealyMachine(
-            states=list(range(len(self._access))),
-            initial_state=0,
-            inputs=list(self.alphabet),
-            transitions=dict(self._transitions),
-            outputs=dict(self._outputs),
-        )
-
-    # ------------------------------------------------------------------ split
-
-    def _on_split(self, inner: _Inner, old_leaf: _Leaf, new_leaf: _Leaf) -> None:
-        """Mark the split temporary, finalize what can be finalized, and
-        re-enqueue exactly the split subtree's residents."""
-        inner.temporary = True
-        self._temporaries.append(inner)
-        # Finalize the fresh node *before* re-sifting its residents, so the
-        # re-sift probes pay the finalized (short) suffix instead of the
-        # verbatim Rivest–Schapire one.  This is the ONLY finalization
-        # window: right now the subtree holds exactly the two split leaves
-        # and zero parked residents (the old leaf's are about to re-sift
-        # through ``inner`` with fresh probes — ``resift_leaf``), so the
-        # two-word partition check is exhaustive and re-keying is sound.
-        # Re-keying later, once residents have parked below the node on the
-        # strength of the *old* suffix, would need every one of them
-        # re-verified — a retry pass that profiling showed costs more than
-        # every split combined while (residents' answers under untried
-        # suffixes being absent from the trie) never deciding a candidate.
-        self._finalize_node(inner, paid=True, resift_leaf=old_leaf)
-
-        residents = self._residents.pop(old_leaf, [])
-        requeued = 0
-        for state, symbol in residents:
-            word = self._access[state] + (symbol,)
-            if word == new_leaf.access:
-                # The transition whose target the counterexample disproved:
-                # its word *is* the new access word, so it lands on the new
-                # leaf by construction — no probe needed.
-                self._transitions[(state, symbol)] = new_leaf.state
-                self._residents.setdefault(new_leaf, []).append((state, symbol))
-            else:
-                self._pending.append([state, symbol, word, inner])
-                requeued += 1
-        self.words_resifted_per_split.append(requeued)
-
-    # ----------------------------------------------------------- finalization
-
-    def _leaves_below(self, node: _Node) -> List[_Leaf]:
-        leaves: List[_Leaf] = []
-        stack: List[_Node] = [node]
-        while stack:
-            current = stack.pop()
-            if isinstance(current, _Leaf):
-                leaves.append(current)
-            else:
-                stack.extend(current.children.values())
-        return leaves
-
-    def _final_discriminators(self, shorter_than: int) -> List[Word]:
-        """Distinct final discriminators usable as extension bases, i.e.
-        those whose one-symbol extension would still shrink the suffix."""
-        suffixes: List[Word] = []
-        seen = set()
-        stack: List[_Node] = [self.root]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, _Inner):
-                if (
-                    not node.temporary
-                    and node.children
-                    and len(node.suffix) + 1 < shorter_than
-                    and node.suffix not in seen
-                ):
-                    seen.add(node.suffix)
-                    suffixes.append(node.suffix)
-                stack.extend(node.children.values())
-        suffixes.sort(key=lambda s: (len(s), tuple(repr(symbol) for symbol in s)))
-        return suffixes
-
-    def _adopt(
-        self,
-        node: _Inner,
-        candidate: Word,
-        tails_by_child: List[Tuple[_Node, OutputWord]],
-    ) -> None:
-        """Re-key ``node`` to the verified shorter discriminator."""
-        self.finalization_shrinkage.append((len(node.suffix), len(candidate)))
-        node.suffix = candidate
-        node.temporary = False
-        node.children = {}
-        for child, tail in tails_by_child:
-            child.key = tail
-            node.children[tail] = child
-        self.discriminators_finalized += 1
-        # Any entry still sifting strictly below this node routed through it
-        # via the *old* suffix; restart it here so its descent re-derives
-        # from real answers to the new one.  (``refine`` only runs between
-        # completed builds, so this list is empty in practice — pure
-        # insurance.)
-        for entry in self._pending:
-            current = entry[3]
-            while current is not None and current is not node:
-                current = current.parent
-            if current is node and entry[3] is not node:
-                entry[3] = node
-
-    def _words_below(
-        self, node: _Inner, resift_leaf: Optional[_Leaf]
-    ) -> List[Tuple[_Node, List[Word]]]:
-        """Per-child words whose routing a candidate suffix must preserve.
-
-        That is every leaf access word below the child *plus* every resident
-        transition word parked on those leaves: a resident's target state may
-        not be separated from its leaf's by the tree yet, so leaf answers
-        alone cannot prove the resident keeps routing to the same side —
-        and a mis-parked resident becomes a mis-placed access word at its
-        leaf's next split, corrupting the tree.  ``resift_leaf`` (the leaf a
-        split is about to re-sift) contributes only its access word: its
-        residents re-route from fresh answers immediately afterwards.
-        """
-        words_by_child: List[Tuple[_Node, List[Word]]] = []
-        for child in node.children.values():
-            words: List[Word] = []
-            for leaf in self._leaves_below(child):
-                words.append(leaf.access)
-                if leaf is resift_leaf:
-                    continue
-                for state, symbol in self._residents.get(leaf, ()):
-                    word = self._access[state] + (symbol,)
-                    if word != leaf.access:
-                        words.append(word)
-            words_by_child.append((child, words))
-        return words_by_child
-
-    def _partition(
-        self,
-        words_by_child: List[Tuple[_Node, List[Word]]],
-        answer_for,
-    ) -> Optional[List[Tuple[_Node, OutputWord]]]:
-        """Child re-keying for a candidate, or None when the partition breaks.
-
-        Valid iff every child subtree's words share one output tail and the
-        tails stay pairwise distinct — exactly the condition under which
-        swapping the suffix preserves which child every word below the node
-        (leaf access words and parked residents alike) routes to.
-        """
-        tails_by_child: List[Tuple[_Node, OutputWord]] = []
-        seen_tails = set()
-        for child, words in words_by_child:
-            tails = set()
-            for word in words:
-                answer = answer_for(word)
-                if answer is None:
-                    return None
-                tails.add(tuple(answer)[len(word):])
-            if len(tails) != 1:
-                return None
-            tail = tails.pop()
-            if tail in seen_tails:
-                return None
-            seen_tails.add(tail)
-            tails_by_child.append((child, tail))
-        return tails_by_child
-
-    def _finalize_node(
-        self, node: _Inner, *, paid: bool, resift_leaf: Optional[_Leaf] = None
-    ) -> None:
-        """Try to replace ``node``'s temporary suffix with a shorter one.
-
-        ``paid=True`` (the node's own split) verifies single-symbol
-        candidates with one real batched probe round; retries are trie-only
-        so a stubborn node never costs executions twice.
-        """
-        length = len(node.suffix)
-        if length <= 1:
-            # A one-symbol Rivest–Schapire suffix is already as short as a
-            # Mealy discriminator can be.
-            node.temporary = False
-            self.discriminators_finalized += 1
-            self.finalization_shrinkage.append((length, length))
-            return
-        words_by_child = self._words_below(node, resift_leaf)
-        all_words = [word for _, words in words_by_child for word in words]
-        cached_answer = getattr(self.oracle, "cached_answer", None)
-
-        singles = [(symbol,) for symbol in self.alphabet]
-        answers: Dict[Tuple[Word, Word], OutputWord] = {}
-        if paid:
-            # One deduped/prefix-subsumed batch: at a fresh split the words
-            # are just the two leaves' access words, and their probe words
-            # are output words the next hypothesis build needs anyway — so
-            # this verification costs (almost) nothing beyond moving those
-            # executions earlier.
-            probes = [
-                word + candidate for candidate in singles for word in all_words
-            ]
-            self.finalization_probe_words += len(probes)
-            flat = self._answer_batch(probes)
-            index = 0
-            for candidate in singles:
-                for word in all_words:
-                    answers[(candidate, word)] = flat[index]
-                    index += 1
-        elif cached_answer is not None:
-            for candidate in singles:
-                for word in all_words:
-                    answer = cached_answer(word + candidate)
-                    if answer is not None:
-                        answers[(candidate, word)] = answer
-
-        for candidate in singles:
-            tails = self._partition(
-                words_by_child, lambda word: answers.get((candidate, word))
-            )
-            if tails is not None:
-                self._adopt(node, candidate, tails)
-                return
-
-        if cached_answer is None:
-            return
-        # One-symbol extensions of already-final discriminators, shortest
-        # first, decided purely from the response trie — no executions.
-        for base in self._final_discriminators(shorter_than=length):
-            for symbol in self.alphabet:
-                candidate = (symbol,) + base
-                tails = self._partition(
-                    words_by_child,
-                    lambda word: cached_answer(word + candidate),
-                )
-                if tails is not None:
-                    self._adopt(node, candidate, tails)
-                    return
+# The pipeline benchmark wraps ``TTTTree.hypothesis`` by this name; an alias
+# (not a subclass) leaves no stale wrapper behind when the tracer uninstalls.
+TTTTree = ClassificationTree
 
 
-class TTTLearner(KVLearner):
-    """The Kearns–Vazirani loop over a :class:`TTTTree`.
+class TTTLearner(ActiveLearner):
+    """Classification-tree learner behind the
+    :class:`~repro.learning.learner.ActiveLearner` interface.
 
-    Everything — engine wrapping, pool semantics, Rivest–Schapire
-    refinement, counterexample exhaustion, internal minimality repair and
-    result shape — is inherited from :class:`~repro.learning.kv.KVLearner`;
-    only the tree implementation differs, which is the point: TTT is a
-    refinement layer on the classification tree, not a different learner.
+    Constructor, engine wrapping, pool semantics and result shape match
+    :class:`~repro.learning.learner.MealyLearner`; only the hypothesis
+    data structure differs.  Requesting
+    ``counterexample_strategy="prefixes"`` raises
+    :class:`~repro.errors.LearningError` at construction time.
     """
 
     name = "ttt"
-    tree_class = TTTTree
+    counterexample_strategies = ("rivest-schapire",)
+
+    #: The classification tree of the current/most recent run (None before
+    #: :meth:`learn`); exposed so budget-interrupted runs stay inspectable.
+    tree: Optional[ClassificationTree] = None
+
+    @property
+    def states_discovered(self) -> int:
+        """Leaves created so far — exact state count, readable mid-run."""
+        return self.tree.num_states if self.tree is not None else 0
+
+    def _stable_hypothesis(self, tree: ClassificationTree) -> MealyMachine:
+        """Build a hypothesis and repair it to minimality without
+        spending equivalence queries.
+
+        An intermediate hypothesis can merge two discovered states
+        behaviourally even though the tree distinguishes their access words.
+        For any equivalent pair, the LCA discriminator yields an internal
+        counterexample (the target disagrees with the hypothesis on at least
+        one of ``access(q) + suffix``), which :meth:`ClassificationTree.refine`
+        turns into a split.  Each repair adds a state, so the loop is bounded
+        by the target's state count.
+        """
+        hypothesis = tree.hypothesis()
+        while True:
+            pair = equivalent_state_pair(hypothesis)
+            if pair is None:
+                return hypothesis
+            suffix = tree.lca_suffix(*pair)
+            for state in pair:
+                probe = tree.access_word(state) + suffix
+                if tuple(self.membership_oracle.output_query(probe)) != hypothesis.run(probe):
+                    tree.internal_refinements += 1
+                    tree.refine(hypothesis, probe)
+                    break
+            else:
+                # Unreachable: equivalent hypothesis states answer the suffix
+                # identically, but the target separates the two access words.
+                raise LearningError(
+                    "classification tree separates states "
+                    f"{pair[0]} and {pair[1]} but no internal counterexample "
+                    "distinguishes them"
+                )
+            hypothesis = tree.hypothesis()
+
+    def _learn(self) -> LearningResult:
+        self._start_run()
+        tree = ClassificationTree(
+            self.alphabet,
+            self.membership_oracle,
+            pool=self.pool,
+            chunk_size=self.fill_chunk_size,
+        )
+        self.tree = tree
+        counterexamples: List[Word] = []
+
+        hypothesis = self._stable_hypothesis(tree)
+
+        for round_number in range(1, self.max_rounds + 1):
+            counterexample = self._find_counterexample(hypothesis)
+            if counterexample is None:
+                return self._result(hypothesis, round_number, counterexamples)
+            word = tuple(counterexample)
+            counterexamples.append(word)
+            # Exhaust the counterexample: a single split often leaves the word
+            # disagreeing with the refined hypothesis, and re-checking it is a
+            # trie cache hit — so the learner keeps splitting on the same
+            # evidence instead of spending a fresh equivalence round (and its
+            # newly executed suite words) per discovered state.
+            while hypothesis.run(word) != tuple(self.membership_oracle.output_query(word)):
+                previous_size = hypothesis.size
+                tree.refine(hypothesis, word)
+                hypothesis = self._stable_hypothesis(tree)
+                if hypothesis.size <= previous_size:
+                    # Every split adds a leaf and hypothesis states are
+                    # leaves, so a non-growing hypothesis means the tree is
+                    # corrupted.
+                    raise LearningError(
+                        "classification-tree refinement failed to add a state "
+                        f"for counterexample {list(word)}"
+                    )
+            self._end_round()
+
+        raise self._rounds_exhausted()

@@ -126,7 +126,7 @@ class PolicyLearningPipeline:
         self.oracle_factory = oracle_factory
         self.resume = resume
         #: Which student runs the loop: ``"lstar"`` (observation table, the
-        #: paper's configuration) or ``"kv"`` (classification tree — far
+        #: paper's configuration) or ``"ttt"`` (classification tree — far
         #: fewer membership queries per discovered state on large policies).
         #: Both learn the same minimal machine bit-identically.
         self.learner = learner.lower()
@@ -220,13 +220,12 @@ class PolicyLearningPipeline:
         }
         tree = getattr(learner, "tree", None)
         if tree is not None:
+            # Classification-tree counters (see repro.learning.kv).
             extra["kv_leaves_from_sifting"] = tree.leaves_from_sifting
             extra["kv_leaves_from_splits"] = tree.leaves_from_splits
             extra["kv_internal_refinements"] = tree.internal_refinements
             extra["discriminator_lengths"] = tree.discriminator_lengths()
             extra["max_discriminator_length"] = tree.max_discriminator_length
-        if getattr(tree, "finalization_shrinkage", None) is not None:
-            # TTT-specific refinement counters (see repro.learning.ttt).
             extra["ttt_finalized_discriminators"] = tree.discriminators_finalized
             extra["ttt_temporary_discriminators"] = tree.temporary_discriminators
             extra["ttt_words_resifted_per_split"] = list(tree.words_resifted_per_split)

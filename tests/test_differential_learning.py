@@ -111,55 +111,6 @@ def test_bimodal_policies_exact_differential(policy_name):
 
 
 @pytest.mark.parametrize("policy_name", available_policies())
-def test_kv_and_lstar_learn_bit_identical_machines(policy_name):
-    """The L*-vs-KV differential axis: both learners, one machine.
-
-    Every registry policy is learned by the observation-table learner and
-    the classification-tree learner; the minimized machines must be
-    bit-identical (the pipeline relabels canonically, so ``==`` is exact).
-    KV is additionally exercised across the execution strategies that must
-    never change what is learned: a 2-worker pool and the forced scalar
-    kernel.
-    """
-    exact = policy_name not in SLOW_EXACT
-    depth = EXACT_DEPTH.get(policy_name, 1) if exact else 1
-    policy = make_policy(policy_name, ASSOCIATIVITY)
-
-    lstar = learn_simulated_policy(policy, depth=depth, identify=False, learner="lstar")
-    kv = learn_simulated_policy(
-        make_policy(policy_name, ASSOCIATIVITY), depth=depth, identify=False, learner="kv"
-    )
-    assert kv.machine == lstar.machine
-    assert lstar.extra["learner"] == "lstar"
-    assert kv.extra["learner"] == "kv"
-    # KV's growth accounting is reported and consistent with the state count.
-    assert (
-        kv.extra["kv_leaves_from_sifting"] + kv.extra["kv_leaves_from_splits"]
-        == kv.num_states
-    )
-
-    kv_parallel = learn_simulated_policy(
-        make_policy(policy_name, ASSOCIATIVITY),
-        depth=depth,
-        identify=False,
-        learner="kv",
-        workers=2,
-    )
-    assert kv_parallel.machine == kv.machine
-    assert kv_parallel.extra["workers"] == 2
-
-    kv_scalar = learn_simulated_policy(
-        make_policy(policy_name, ASSOCIATIVITY),
-        depth=depth,
-        identify=False,
-        learner="kv",
-        kernel="scalar",
-    )
-    assert kv_scalar.machine == kv.machine
-    assert kv_scalar.extra["kernel"] == "scalar"
-
-
-@pytest.mark.parametrize("policy_name", available_policies())
 def test_ttt_learns_bit_identical_machines(policy_name):
     """The TTT differential axis: the refined tree learns the same machine.
 

@@ -31,7 +31,6 @@ import pytest
 
 from repro.core.mealy import MealyMachine
 from repro.learning.equivalence import ConformanceEquivalenceOracle
-from repro.learning.kv import KVLearner
 from repro.learning.learner import LearningResult, MealyLearner
 from repro.learning.ttt import TTTLearner
 from repro.learning.oracles import CachedMembershipOracle, MealyMachineOracle
@@ -194,40 +193,6 @@ def _assert_kernel_differential(policy_name: str) -> None:
         ), f"{policy_name}/{kernel}: Polca probe accounting diverged"
 
 
-def _learn_machine_kv(machine: MealyMachine, workers: int = 1) -> LearningResult:
-    """Learn ``machine`` white-box with the classification-tree learner."""
-    engine = CachedMembershipOracle(MealyMachineOracle(machine))
-    if workers > 1:
-        with WorkerPool(MealyMachineOracleFactory(machine), workers) as pool:
-            equivalence = ConformanceEquivalenceOracle(engine, depth=2, pool=pool)
-            learner = KVLearner(machine.inputs, engine, equivalence, pool=pool)
-            return learner.learn()
-    equivalence = ConformanceEquivalenceOracle(engine, depth=2)
-    return KVLearner(machine.inputs, engine, equivalence).learn()
-
-
-def _assert_kv_machine_differential(seed: int) -> None:
-    """KV with Rivest–Schapire on a seeded random machine: the learned
-    machine must be bit-identical to L*'s and replay field-for-field
-    against the reference; a 2-worker pool must not change it either."""
-    reference = _random_mealy(seed)
-    lstar = _learn_machine(reference)
-    kv = _learn_machine_kv(reference)
-
-    assert kv.machine == lstar.machine, f"seed {seed}: KV and L* machines diverged"
-    assert kv.learner == "kv" and lstar.learner == "lstar"
-    assert kv.machine.size == reference.size
-    for word in _replay_words(f"machine-{seed}", tuple(reference.inputs)):
-        assert kv.machine.run(word) == reference.run(word), (
-            f"seed {seed}: KV-learned machine disagrees with the reference on {word!r}"
-        )
-
-    parallel = _learn_machine_kv(reference, workers=2)
-    assert parallel.machine == kv.machine, f"seed {seed}: parallel KV diverged"
-    assert parallel.rounds == kv.rounds
-    assert parallel.counterexamples == kv.counterexamples
-
-
 def _learn_machine_ttt(machine: MealyMachine, workers: int = 1) -> LearningResult:
     """Learn ``machine`` white-box with the TTT-refined tree learner."""
     engine = CachedMembershipOracle(MealyMachineOracle(machine))
@@ -292,56 +257,36 @@ def test_random_machine_parallel_learning_is_identical(seed):
 
 
 @pytest.mark.parametrize("seed", FAST_MACHINE_SEEDS)
-def test_random_machine_kv_learning_is_identical(seed):
-    _assert_kv_machine_differential(seed)
-
-
-@pytest.mark.parametrize("seed", FAST_MACHINE_SEEDS)
 def test_random_machine_ttt_learning_is_identical(seed):
     _assert_ttt_machine_differential(seed)
 
 
-def test_regression_seed_116_ttt_hypotheses_are_minimal():
-    """TTT inherits ``_stable_hypothesis``'s minimality repair from KV, and
-    the seed-116 machine must exercise it the same way: no hypothesis the
-    conformance tester sees triggers its minimize-and-warn fallback."""
-    reference = _regression_machine(8, seed=116).minimize()
-    assert reference.size == 8
-    engine = CachedMembershipOracle(MealyMachineOracle(reference))
-    equivalence = ConformanceEquivalenceOracle(engine, depth=2)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        result = TTTLearner(reference.inputs, engine, equivalence).learn()
-    assert result.machine.size == reference.size
-    assert reference.equivalent(result.machine)
-
-
-def test_regression_seed_116_kv_hypotheses_are_minimal(monkeypatch):
-    """Port of PR 4's suffix-closure regression to the classification tree.
+def test_regression_seed_116_ttt_hypotheses_are_minimal(monkeypatch):
+    """The seed-116 suffix-closure regression, on the classification tree.
 
     The seed-116 machine made L* hand non-minimal hypotheses to the Wp
-    suite before ``add_suffix`` learned to close the column set.  KV's
-    analogue is ``_stable_hypothesis``'s internal minimality repair: every
-    hypothesis that reaches the conformance tester must already be minimal,
-    so the suite's minimize-and-warn fallback (a RuntimeWarning) never
-    fires.
+    suite before ``add_suffix`` learned to close the column set.  The tree
+    learner's analogue is ``_stable_hypothesis``'s internal minimality
+    repair: every hypothesis that reaches the conformance tester must
+    already be minimal, so the suite's minimize-and-warn fallback (a
+    RuntimeWarning) never fires.
     """
     reference = _regression_machine(8, seed=116).minimize()
     assert reference.size == 8
     sizes = []
-    original = KVLearner._stable_hypothesis
+    original = TTTLearner._stable_hypothesis
 
     def recording(self, tree):
         hypothesis = original(self, tree)
         sizes.append((hypothesis.size, hypothesis.minimize().size))
         return hypothesis
 
-    monkeypatch.setattr(KVLearner, "_stable_hypothesis", recording)
+    monkeypatch.setattr(TTTLearner, "_stable_hypothesis", recording)
     engine = CachedMembershipOracle(MealyMachineOracle(reference))
     equivalence = ConformanceEquivalenceOracle(engine, depth=2)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        result = KVLearner(reference.inputs, engine, equivalence).learn()
+        result = TTTLearner(reference.inputs, engine, equivalence).learn()
     assert sizes, "instrumentation never saw a hypothesis"
     assert all(size == minimal for size, minimal in sizes), sizes
     assert result.machine.size == reference.size
@@ -365,12 +310,6 @@ def test_random_policy_kernels_are_identical(policy_name):
 @pytest.mark.parametrize("seed", SLOW_MACHINE_SEEDS)
 def test_random_machine_parallel_learning_is_identical_wide(seed):
     _assert_machine_differential(seed)
-
-
-@pytest.mark.slow
-@pytest.mark.parametrize("seed", SLOW_MACHINE_SEEDS)
-def test_random_machine_kv_learning_is_identical_wide(seed):
-    _assert_kv_machine_differential(seed)
 
 
 @pytest.mark.slow

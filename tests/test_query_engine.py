@@ -10,7 +10,6 @@ from repro.hardware.timing import NoiseModel
 from repro.learning import (
     CachedMembershipOracle,
     ConformanceEquivalenceOracle,
-    DictCachedMembershipOracle,
     FunctionOracle,
     MealyLearner,
     MealyMachineOracle,
@@ -190,11 +189,6 @@ class TestCachedMembershipOracle:
         assert "2-symbol" in str(info.value)
         assert str(["a", "b"]) not in str(info.value).split(":")[-1]
 
-    def test_dict_cache_also_raises_dedicated_error(self):
-        cached = DictCachedMembershipOracle(FunctionOracle(lambda word: ("x",)))
-        with pytest.raises(OutputLengthMismatchError):
-            cached.output_query(("a", "b"))
-
 
 class TestObservationTableBatching:
     def test_fill_issues_one_batch_per_round(self):
@@ -321,49 +315,37 @@ class TestPolcaBatch:
 
 
 class TestLearnerEngineEquivalence:
-    @pytest.mark.parametrize("policy_name,associativity", [("PLRU", 4), ("MRU", 4)])
-    def test_trie_and_dict_backends_learn_identical_machines(
-        self, policy_name, associativity
-    ):
-        reference = make_policy(policy_name, associativity).to_mealy().minimize()
-        machines = {}
-        for backend in ("trie", "dict"):
-            oracle = MealyMachineOracle(reference)
-            learner = MealyLearner(
-                reference.inputs,
-                oracle,
-                PerfectEquivalenceOracle(reference),
-                cache_backend=backend,
-            )
-            machines[backend] = learner.learn().machine
-        assert machines["trie"].equivalent(machines["dict"])
-        assert machines["trie"].size == machines["dict"].size == reference.size
-
     def test_trie_engine_executes_fewer_symbols(self):
+        """The trie engine against no cache at all: learner and conformance
+        tester share one uncached oracle, so every repeat re-executes."""
         reference = make_policy("PLRU", 4).to_mealy().minimize()
         executed = {}
-        for backend in ("trie", "dict"):
+        for cached in (True, False):
             oracle = MealyMachineOracle(reference)
-            cache_cls = (
-                CachedMembershipOracle if backend == "trie" else DictCachedMembershipOracle
-            )
-            engine = cache_cls(oracle)
+            engine = CachedMembershipOracle(oracle) if cached else oracle
             equivalence = ConformanceEquivalenceOracle(engine, depth=1)
-            result = learn_mealy_machine(reference.inputs, engine, equivalence)
+            result = learn_mealy_machine(
+                reference.inputs, engine, equivalence, cache_queries=cached
+            )
             assert reference.equivalent(result.machine)
-            executed[backend] = oracle.statistics.membership_symbols
-        assert executed["trie"] < executed["dict"]
+            executed[cached] = oracle.statistics.membership_symbols
+        assert executed[True] < executed[False]
 
-    def test_unknown_cache_backend_rejected(self):
+    def test_dict_cache_backend_is_gone(self):
+        """The pre-trie dictionary cache and its ``cache_backend`` knob were
+        removed; the trie engine is the only response cache."""
+        import repro.learning
+        import repro.learning.learner as learner_module
+
+        assert not hasattr(repro.learning, "DictCachedMembershipOracle")
+        assert not hasattr(learner_module, "CACHE_BACKENDS")
         reference = make_policy("FIFO", 2).to_mealy()
-        from repro.errors import LearningError
-
-        with pytest.raises(LearningError):
+        with pytest.raises(TypeError):
             MealyLearner(
                 reference.inputs,
                 MealyMachineOracle(reference),
                 PerfectEquivalenceOracle(reference),
-                cache_backend="lru",
+                cache_backend="dict",
             )
 
     def test_already_wrapped_oracle_is_not_double_wrapped(self):
@@ -429,20 +411,16 @@ class TestCacheQueryBatchFrontend:
 @pytest.mark.slow
 class TestFullRegistryEquivalenceSlow:
     def test_engine_learns_every_registered_policy_unchanged(self):
-        """The trie engine learns the same machine as the dict baseline for
-        the whole policy registry (associativity 2 keeps this tractable)."""
+        """The trie engine learns every policy of the registry exactly
+        (associativity 2 keeps this tractable)."""
         for name in available_policies():
             try:
                 reference = make_policy(name, 2).to_mealy().minimize()
             except Exception:
                 continue
-            for backend in ("trie", "dict"):
-                oracle = MealyMachineOracle(reference)
-                result = learn_mealy_machine(
-                    reference.inputs,
-                    oracle,
-                    PerfectEquivalenceOracle(reference),
-                    cache_backend=backend,
-                )
-                assert reference.equivalent(result.machine), name
-                assert result.machine.size == reference.size, name
+            oracle = MealyMachineOracle(reference)
+            result = learn_mealy_machine(
+                reference.inputs, oracle, PerfectEquivalenceOracle(reference)
+            )
+            assert reference.equivalent(result.machine), name
+            assert result.machine.size == reference.size, name
