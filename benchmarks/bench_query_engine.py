@@ -13,9 +13,8 @@ record):
   answers >= 10x the symbols/sec of the scalar stepper.
 
 * **kernel learning identity** (simkernel PR) — learn PLRU-8 end-to-end
-  under kernel in {scalar, python, numpy} x workers in {0, 2} and require
-  every learned machine to be bit-identical (``==``) to the scalar serial
-  one.
+  under kernel in {scalar, python, numpy} and require every learned
+  machine to be bit-identical (``==``) to the scalar one.
 
 Run standalone (``--json OUT`` writes a machine-readable result so the
 perf trajectory accumulates ``BENCH_*.json`` points)::
@@ -94,38 +93,32 @@ def kernel_throughput(policy_name, associativity, *, batch_size=1024, **workload
     return results
 
 
-def kernel_learning_identity(policy_name, associativity, *, workers_settings=(0, 2)):
-    """Learn the policy under every kernel x workers combination.
+def kernel_learning_identity(policy_name, associativity):
+    """Learn the policy under every kernel.
 
     Returns ``(runs, identical)`` where ``identical`` is True iff every
-    learned machine is bit-identical (``==``) to the scalar serial one.
+    learned machine is bit-identical (``==``) to the scalar one.
     """
     kernels = ["scalar", "python"] + (["numpy"] if numpy_available() else [])
     runs = []
     baseline = None
     identical = True
     for kernel in kernels:
-        for workers in workers_settings:
-            report = learn_simulated_policy(
-                make_policy(policy_name, associativity),
-                kernel=kernel,
-                workers=workers if workers else None,
-            )
-            if baseline is None:
-                baseline = report.machine
-            identical = identical and report.machine == baseline
-            runs.append(
-                {
-                    "kernel": kernel,
-                    "kernel_in_use": report.extra["kernel"],
-                    "workers": workers,
-                    "states": report.num_states,
-                    "seconds": report.wall_clock_seconds,
-                    "policy_symbols": report.polca_statistics.policy_symbols,
-                    "cache_probes": report.polca_statistics.cache_probes,
-                    "machine_identical": report.machine == baseline,
-                }
-            )
+        report = learn_simulated_policy(make_policy(policy_name, associativity), kernel=kernel)
+        if baseline is None:
+            baseline = report.machine
+        identical = identical and report.machine == baseline
+        runs.append(
+            {
+                "kernel": kernel,
+                "kernel_in_use": report.extra["kernel"],
+                "states": report.num_states,
+                "seconds": report.wall_clock_seconds,
+                "policy_symbols": report.polca_statistics.policy_symbols,
+                "cache_probes": report.polca_statistics.cache_probes,
+                "machine_identical": report.machine == baseline,
+            }
+        )
     return runs, identical
 
 
@@ -181,10 +174,10 @@ def main(argv=None):
     if not arguments.skip_learning:
         print(f"\n== Kernel learning identity: {policy_name}-{associativity} ==")
         runs, identical = kernel_learning_identity(policy_name, associativity)
-        print(f"{'kernel':>8} {'workers':>8} {'states':>7} {'seconds':>9} {'identical':>10}")
+        print(f"{'kernel':>8} {'states':>7} {'seconds':>9} {'identical':>10}")
         for run in runs:
             print(
-                f"{run['kernel']:>8} {run['workers']:>8} {run['states']:>7} "
+                f"{run['kernel']:>8} {run['states']:>7} "
                 f"{run['seconds']:>9.2f} {str(run['machine_identical']):>10}"
             )
         payload["kernel_learning"] = runs

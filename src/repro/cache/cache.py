@@ -14,6 +14,7 @@ cache level on top of the single-set model:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.cache.addressing import AddressMapper
@@ -27,24 +28,9 @@ from repro.policies.registry import make_policy
 PolicyFactory = Callable[[int], ReplacementPolicy]
 
 
-@dataclass(frozen=True)
-class _NamedPolicyFactory:
-    """A picklable ``associativity -> policy`` factory resolving a registry name.
-
-    A plain lambda would work just as well locally, but cache levels (and
-    everything holding them, up to a whole simulated CPU) must survive
-    pickling so the parallel conformance tester can rebuild them inside
-    pool workers.
-    """
-
-    policy_name: str
-
-    def __call__(self, associativity: int) -> ReplacementPolicy:
-        return make_policy(self.policy_name, associativity)
-
-
 def _factory_from_name(name: str) -> PolicyFactory:
-    return _NamedPolicyFactory(name)
+    """The ``associativity -> policy`` factory of a registry name."""
+    return partial(make_policy, name)
 
 
 @dataclass

@@ -15,7 +15,7 @@ from statistics import median
 from typing import Sequence
 
 from repro.cache.cacheset import HIT, MISS
-from repro.errors import CacheQueryError
+from repro.errors import CacheError, CacheQueryError
 from repro.hardware.cpu import SimulatedCPU
 
 
@@ -76,6 +76,6 @@ def calibrate_classifier(
     # fall back to the measured midpoint if the timing model lacks the level.
     try:
         threshold = cpu.timing.hit_threshold(level)
-    except Exception:
+    except CacheError:
         threshold = (hit_latency + miss_latency) / 2.0
     return HitMissClassifier(threshold)

@@ -50,9 +50,9 @@ def _print_store(store, rows) -> None:
     print(format_store_statistics(store.statistics(), hit_ratio=ratio))
 
 
-def _print_table2(mode: str, workers: Optional[int], **kwargs) -> None:
+def _print_table2(mode: str, **kwargs) -> None:
     print("== Table 2: learning from software-simulated caches ==")
-    rows = run_table2(mode, workers=workers, **kwargs)
+    rows = run_table2(mode, **kwargs)
     print(format_table2(rows))
     _print_store(kwargs.get("store"), rows)
 
@@ -62,9 +62,9 @@ def _print_table3() -> None:
     print(format_table3())
 
 
-def _print_table4(mode: str, workers: Optional[int], **kwargs) -> None:
+def _print_table4(mode: str, **kwargs) -> None:
     print("== Table 4: learning from (simulated) hardware via CacheQuery ==")
-    rows = run_table4(mode, workers=workers, **kwargs)
+    rows = run_table4(mode, **kwargs)
     print(format_table4(rows))
     _print_store(kwargs.get("store"), rows)
 
@@ -126,17 +126,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--sets", type=int, default=128, help="number of L3 sets scanned by leader-sets"
     )
     parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="run the whole learning loop (table fill + conformance testing) "
-        "on a pool of N worker processes "
-        "(table2/table4; learned machines are identical to serial runs); "
-        "0 or 1 mean explicitly serial — 0 is the convention the pipeline, "
-        "tests and benchmarks use",
-    )
-    parser.add_argument(
         "--cache-path",
         default=None,
         metavar="FILE",
@@ -166,9 +155,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--resume",
         action="store_true",
         help="answer each query by executing only its un-cached suffix through "
-        "stateful measurement sessions (table2/table4; serial runs only — "
-        "resume changes which measurements execute, so it is incompatible "
-        "with --workers > 1)",
+        "stateful measurement sessions (table2/table4; learns the same "
+        "machines with fewer cache probes)",
     )
     parser.add_argument(
         "--kernel",
@@ -195,13 +183,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--json", action="store_true", help="emit raw results as JSON instead of tables"
     )
     arguments = parser.parse_args(argv)
-    # 0 is the explicit-serial convention used by the pipeline, tests and
-    # benchmarks everywhere else; only negative counts are nonsense.  All
-    # flag validation happens here, before any store/experiment work starts.
-    if arguments.workers is not None and arguments.workers < 0:
-        parser.error("--workers must be >= 0 (0 means serial)")
-    if arguments.resume and arguments.workers is not None and arguments.workers > 1:
-        parser.error("--resume is serial-only; drop it or use --workers 0")
+    # All flag validation happens here, before any store/experiment work starts.
     if arguments.store_server is not None and arguments.cache_path is not None:
         parser.error(
             "--store-server and --cache-path are mutually exclusive: with a "
@@ -227,16 +209,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if arguments.experiment in ("table2", "all"):
             payload["table2"] = [
                 row.__dict__
-                for row in run_table2(
-                    arguments.mode, workers=arguments.workers, **learning_kwargs
-                )
+                for row in run_table2(arguments.mode, **learning_kwargs)
             ]
         if arguments.experiment in ("table4", "all"):
             payload["table4"] = [
                 row.__dict__
-                for row in run_table4(
-                    arguments.mode, workers=arguments.workers, **learning_kwargs
-                )
+                for row in run_table4(arguments.mode, **learning_kwargs)
             ]
         if arguments.experiment in ("table5", "all"):
             payload["table5"] = [
@@ -250,11 +228,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
 
     if arguments.experiment in ("table2", "all"):
-        _print_table2(arguments.mode, arguments.workers, **learning_kwargs)
+        _print_table2(arguments.mode, **learning_kwargs)
     if arguments.experiment in ("table3", "all"):
         _print_table3()
     if arguments.experiment in ("table4", "all"):
-        _print_table4(arguments.mode, arguments.workers, **learning_kwargs)
+        _print_table4(arguments.mode, **learning_kwargs)
     if arguments.experiment in ("table5", "all"):
         _print_table5(arguments.mode)
     if arguments.experiment in ("overhead", "all"):

@@ -140,7 +140,6 @@ def run_table2(
     configurations: Optional[Sequence[Tuple[str, int]]] = None,
     *,
     depth: int = 1,
-    workers: Optional[int] = None,
     resume: bool = False,
     store=None,
     cache_path: Optional[str] = None,
@@ -149,11 +148,7 @@ def run_table2(
 ) -> List[Table2Row]:
     """Learn every configured policy from its software-simulated cache.
 
-    ``workers=N`` (N > 1) runs each configuration's whole learning run —
-    observation-table fill *and* conformance testing — on one shared
-    process pool; the learned machines are bit-identical to serial runs
-    (see :mod:`repro.learning.parallel`).  ``resume=True`` (serial only)
-    answers each query by executing only its un-cached suffix through
+    ``resume=True`` answers each query by executing only its un-cached suffix through
     measurement sessions.  ``store``/``cache_path`` place every
     configuration's query engine in one shared
     :class:`~repro.store.PrefixStore` (one namespace per policy target);
@@ -177,7 +172,6 @@ def run_table2(
         report = learn_simulated_policy(
             policy,
             depth=depth,
-            workers=workers,
             resume=resume,
             store=store,
             kernel=kernel,

@@ -95,7 +95,7 @@ class Table4Row:
     cache_hits: int = 0
     tests_skipped: int = 0
     #: Executed membership queries of the shared query engine (like Table 2's
-    #: column; worker-count-invariant since worker deltas merge on collect).
+    #: column).
     membership_queries: int = 0
     #: Which student produced the row (``"lstar"`` / ``"ttt"``).
     learner: str = "lstar"
@@ -201,7 +201,6 @@ def run_table4_configuration(
     repetitions: int = 1,
     noise_std: float = 0.0,
     depth: int = 1,
-    workers: Optional[int] = None,
     resume: bool = False,
     store=None,
     kernel: Optional[str] = "auto",
@@ -213,7 +212,7 @@ def run_table4_configuration(
     stacks of the run — the frontend's response cache and the learning
     engine's trie — in separate namespaces; pass ``store`` (possibly
     path-backed) to share it across configurations or persist it.
-    ``resume=True`` (serial only) opens measurement sessions on the
+    ``resume=True`` opens measurement sessions on the
     CacheQuery frontend so only un-cached suffixes execute.
     """
     paper_policy = PAPER_TABLE4_POLICY.get((configuration.cpu, configuration.level))
@@ -277,10 +276,6 @@ def run_table4_configuration(
             name for name in available_policies() if name != paper_policy
         ]
     start = time.perf_counter()
-    # The CacheQuery interface wraps a whole (picklable) simulated CPU, so
-    # pool workers receive a snapshot and replay table-fill batches and
-    # suite chunks against their own copy — the hardware-path analogue of
-    # rebuilding a simulator.
     # The CacheQuery interface has no policy-exact kernel hook, so
     # kernel="auto" degrades to the scalar path here; forcing a kernel is
     # rejected by Polca with a clean error.
@@ -288,7 +283,6 @@ def run_table4_configuration(
         interface,
         depth=depth,
         identification_candidates=candidates,
-        workers=workers,
         resume=resume,
         store=store,
         kernel=kernel,
@@ -324,7 +318,6 @@ def run_table4(
     *,
     repetitions: int = 1,
     noise_std: float = 0.0,
-    workers: Optional[int] = None,
     resume: bool = False,
     store=None,
     cache_path: Optional[str] = None,
@@ -350,7 +343,6 @@ def run_table4(
             configuration,
             repetitions=repetitions,
             noise_std=noise_std,
-            workers=workers,
             resume=resume,
             store=store,
             kernel=kernel,

@@ -13,15 +13,8 @@ conformance tester stage whole rounds of words, and the
 prefix-subsumes and caches them in a response trie before anything reaches
 the system under learning.
 
-Both query sides additionally scale across processes
-(:mod:`repro.learning.parallel`): with ``workers=N`` a shared
-:class:`~repro.learning.parallel.WorkerPool` answers the observation
-table's round batches *and* the
-:class:`~repro.learning.equivalence.ConformanceEquivalenceOracle`'s
-lazily streamed Wp-suite chunks (bounded in-flight window); workers
-rebuild the system under test from a picklable oracle factory and answers
-merge back through the shared trie in deterministic order, keeping learned
-machines bit-identical to serial runs.
+Queries run serially through that one engine: the system under learning
+is a single stateful cache set.
 """
 
 from repro.learning.query_engine import (
@@ -52,15 +45,6 @@ from repro.learning.wpmethod import (
     transition_cover,
     w_method_suite,
     wp_method_suite,
-)
-from repro.learning.parallel import (
-    CacheInterfaceOracleFactory,
-    FunctionOracleFactory,
-    MealyMachineOracleFactory,
-    OracleFactory,
-    SimulatedPolicyOracleFactory,
-    WorkerPool,
-    oracle_factory_for_cache,
 )
 from repro.learning.equivalence import (
     ConformanceEquivalenceOracle,
@@ -101,13 +85,6 @@ __all__ = [
     "transition_cover",
     "w_method_suite",
     "wp_method_suite",
-    "CacheInterfaceOracleFactory",
-    "FunctionOracleFactory",
-    "MealyMachineOracleFactory",
-    "OracleFactory",
-    "SimulatedPolicyOracleFactory",
-    "WorkerPool",
-    "oracle_factory_for_cache",
     "ConformanceEquivalenceOracle",
     "EquivalenceOracle",
     "PerfectEquivalenceOracle",

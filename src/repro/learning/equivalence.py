@@ -18,31 +18,17 @@ from __future__ import annotations
 
 import random
 import warnings
-from collections import deque
-from concurrent.futures import Executor, Future
 from itertools import islice
-from typing import (
-    Deque,
-    Dict,
-    Hashable,
-    Iterator,
-    List,
-    Optional,
-    Protocol,
-    Sequence,
-    Tuple,
-)
+from typing import Hashable, Iterator, List, Optional, Protocol, Sequence, Tuple
 
 from repro.core.mealy import MealyMachine
 from repro.errors import LearningError
 from repro.learning.oracles import MembershipOracle, QueryStatistics
-from repro.learning.parallel import OracleFactory, WorkerPool
-from repro.learning.query_engine import dedupe_and_subsume, output_query_batch
+from repro.learning.query_engine import output_query_batch
 from repro.learning.wpmethod import iter_w_method_suite, iter_wp_method_suite
 
 Input = Hashable
 Word = Tuple[Input, ...]
-OutputWord = Tuple[Hashable, ...]
 
 
 def _chunks(words: Iterator[Word], size: int) -> Iterator[List[Word]]:
@@ -67,47 +53,18 @@ class ConformanceEquivalenceOracle:
 
     The suite is **streamed**: :func:`~repro.learning.wpmethod.\
 iter_wp_method_suite` generates test words lazily and the oracle consumes
-    them in batches of ``batch_size`` words, so the parent process never
-    materialises the full suite (at depth ≥ 2 PLRU-8's suite is ~350k
-    words) before the first chunk executes.  Each batch is answered
-    through the batched-oracle protocol so duplicate and prefix-subsumed
-    test words never reach the system under learning twice.  For
-    simulator-backed oracles whose ``output_query`` is safe to call
-    concurrently (e.g. :class:`~repro.learning.oracles.MealyMachineOracle`),
-    an optional :class:`concurrent.futures.Executor` fans a batch out over
-    threads; stateful oracles (Polca over one cache set) must keep the
-    default serial execution.
+    them in batches of ``batch_size`` words, so it never materialises the
+    full suite (at depth ≥ 2 PLRU-8's suite is ~350k words) before the
+    first batch executes.  Each batch is answered through the
+    batched-oracle protocol so duplicate and prefix-subsumed test words
+    never reach the system under learning twice.  Batches run serially:
+    the system under learning is one stateful cache set.
 
     When ``max_tests`` truncates the suite, the dropped words are counted in
     ``statistics.tests_skipped``: a truncated suite voids the
     ``(|H| + k)``-completeness guarantee of Corollary 3.4, and the learner
     surfaces the counter so reports can flag the caveat instead of silently
     claiming completeness.
-
-    Process-parallel execution
-    --------------------------
-
-    With ``workers=N`` (N > 1) and a picklable ``oracle_factory`` (see
-    :mod:`repro.learning.parallel`) — or a shared
-    :class:`~repro.learning.parallel.WorkerPool` via ``pool=`` — suite
-    chunks are shipped to a process pool whose workers each rebuild a fresh
-    system under test from the factory.  At most ``max_inflight`` chunks
-    are in flight at once (a bounded window over the lazy suite: the
-    parent holds no more than ``max_inflight × batch_size`` queued words,
-    tracked in :attr:`peak_inflight_words`), and chunks are consumed *in
-    suite order*, so the returned counterexample is always the first
-    mismatching word — identical to a serial run, which keeps learned
-    machines bit-identical across worker counts.  Worker answers are
-    merged back into the shared
-    :class:`~repro.learning.oracles.CachedMembershipOracle` trie when the
-    oracle is one, so they feed the learner's cache and still trip
-    non-determinism detection; words the shared trie already knows are
-    never shipped.  Per-worker executed-query counts accumulate on the
-    pool's ``worker_query_counts`` / ``worker_symbol_counts`` (keyed by
-    worker PID) — shared with the observation-table fill when the pool is.
-    Call :meth:`close` (or use the oracle as a context manager) to shut an
-    *owned* pool down; a pool passed in via ``pool=`` belongs to the
-    caller and is left running.
     """
 
     def __init__(
@@ -118,105 +75,17 @@ iter_wp_method_suite` generates test words lazily and the oracle consumes
         method: str = "wp",
         max_tests: Optional[int] = None,
         batch_size: int = 64,
-        executor: Optional[Executor] = None,
-        workers: Optional[int] = None,
-        oracle_factory: Optional[OracleFactory] = None,
-        start_method: Optional[str] = None,
-        pool: Optional[WorkerPool] = None,
-        max_inflight: int = 4,
     ) -> None:
         if method not in ("w", "wp"):
             raise ValueError(f"method must be 'w' or 'wp', got {method!r}")
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        if max_inflight < 1:
-            raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
-        if workers is not None and workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if pool is not None:
-            if workers is not None or oracle_factory is not None:
-                raise LearningError(
-                    "pass either a shared pool or workers/oracle_factory, not both"
-                )
-            if executor is not None:
-                raise LearningError(
-                    "pass either a thread executor or a worker pool, not both"
-                )
-            workers = pool.workers
-            oracle_factory = pool.oracle_factory
-        elif workers is not None and workers > 1:
-            if oracle_factory is None:
-                raise LearningError(
-                    "workers > 1 needs an oracle_factory so pool workers can "
-                    "rebuild the system under test (see repro.learning.parallel)"
-                )
-            if executor is not None:
-                raise LearningError(
-                    "pass either a thread executor or workers/oracle_factory, not both"
-                )
         self.oracle = oracle
         self.depth = depth
         self.method = method
         self.max_tests = max_tests
         self.batch_size = batch_size
-        self.executor = executor
-        self.workers = workers
-        self.oracle_factory = oracle_factory
-        self.start_method = start_method
-        self.max_inflight = max_inflight
         self.statistics = QueryStatistics()
-        #: Peak number of suite words queued in the parent at once (parallel
-        #: path): bounded by ``max_inflight * batch_size`` by construction.
-        self.peak_inflight_words = 0
-        self._shared_pool = pool
-        self._pool: Optional[WorkerPool] = None  # owned pool, created lazily
-
-    # -------------------------------------------------------- pool lifecycle
-
-    @property
-    def _parallel(self) -> bool:
-        if self._shared_pool is not None:
-            return self._shared_pool.parallel
-        return self.workers is not None and self.workers > 1
-
-    def _active_pool(self) -> WorkerPool:
-        if self._shared_pool is not None:
-            return self._shared_pool
-        if self._pool is None:
-            self._pool = WorkerPool(
-                self.oracle_factory, self.workers, start_method=self.start_method
-            )
-        return self._pool
-
-    @property
-    def worker_query_counts(self) -> Dict[int, int]:
-        """Executed queries per pool worker (shared with the fill when the pool is)."""
-        pool = self._shared_pool or self._pool
-        return pool.worker_query_counts if pool is not None else {}
-
-    @property
-    def worker_symbol_counts(self) -> Dict[int, int]:
-        """Executed symbols per pool worker (shared with the fill when the pool is)."""
-        pool = self._shared_pool or self._pool
-        return pool.worker_symbol_counts if pool is not None else {}
-
-    def close(self) -> None:
-        """Shut down an *owned* worker pool (idempotent; shared pools stay up).
-
-        The pool object is kept so its per-worker accounting stays readable
-        after the run; only its executor is torn down (and lazily recreated
-        if the oracle is used again).
-        """
-        if self._pool is not None:
-            self._pool.close()
-
-    def __enter__(self) -> "ConformanceEquivalenceOracle":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    # -------------------------------------------------------------- the suite
 
     def _suite(self, hypothesis: MealyMachine) -> Iterator[Word]:
         generate = iter_w_method_suite if self.method == "w" else iter_wp_method_suite
@@ -252,21 +121,14 @@ iter_wp_method_suite` generates test words lazily and the oracle consumes
             else:
                 self.statistics.tests_skipped += 1
 
-    def _answer_chunk(self, chunk: Sequence[Word]) -> List[Tuple]:
-        if self.executor is not None:
-            return [tuple(o) for o in self.executor.map(self.oracle.output_query, chunk)]
-        return output_query_batch(self.oracle, chunk)
-
     def find_counterexample(self, hypothesis: MealyMachine) -> Optional[Word]:
         self.statistics.equivalence_queries += 1
         suite: Iterator[Word] = iter(self._suite(hypothesis))
         if self.max_tests is not None:
             suite = self._truncated(suite)
-        if self._parallel:
-            return self._find_counterexample_parallel(hypothesis, suite)
         for chunk in _chunks(suite, self.batch_size):
             self.statistics.test_words += len(chunk)
-            actuals = self._answer_chunk(chunk)
+            actuals = output_query_batch(self.oracle, chunk)
             for word, actual in zip(chunk, actuals):
                 if actual != hypothesis.run(word):
                     # Finish the truncation accounting: the generator is
@@ -277,188 +139,6 @@ iter_wp_method_suite` generates test words lazily and the oracle consumes
                             pass
                     return word
         return None
-
-    # --------------------------------------------------------- parallel path
-
-    def _find_counterexample_parallel(
-        self, hypothesis: MealyMachine, suite: Iterator[Word]
-    ) -> Optional[Word]:
-        cached_answer = getattr(self.oracle, "cached_answer", None)
-        record_external = getattr(self.oracle, "record_external", None)
-        if cached_answer is not None and record_external is not None:
-            return self._parallel_with_shared_trie(hypothesis, suite)
-        return self._parallel_without_trie(hypothesis, suite)
-
-    def _drain_and_cancel(self, suite: Iterator[Word], pending) -> None:
-        """Counterexample found: cancel queued chunks, finish truncation accounting."""
-        for item in pending:
-            future = item[2]  # (chunk, missing, future, ...) in both paths
-            if future is not None:
-                future.cancel()
-        # Words beyond a max_tests cap were never going to run regardless of
-        # this counterexample — count them exactly like a serial run.
-        if self.max_tests is not None:
-            for _ in suite:
-                pass
-
-    def _parallel_with_shared_trie(
-        self, hypothesis: MealyMachine, suite: Iterator[Word]
-    ) -> Optional[Word]:
-        """The engine-backed parallel path, accounting-identical to serial.
-
-        Each chunk is partitioned exactly like the serial engine partitions
-        its batches — duplicates, already-cached words and intra-chunk
-        prefix subsumption recorded through the same
-        ``QueryStatistics.record_batch`` — so the cache-hit and
-        subsumed-word columns cannot drift between ``--workers 0`` and
-        ``--workers N``.  Words covered by a chunk still *in flight*
-        (equal to, or a proper prefix of, a shipped word) are not shipped
-        again: chunks are consumed in suite order, so by the time their
-        own chunk is compared the covering answers have merged into the
-        shared trie — exactly the words a serial run would have found
-        cached.
-        """
-        pool = self._active_pool()
-        cached_answer = self.oracle.cached_answer
-        record_external = self.oracle.record_external
-        # Worker executions are real queries against the system under
-        # learning: fold them into the membership oracle's statistics so
-        # query counts stay comparable across worker counts (a serial run
-        # executes the same missing words through the same oracle).
-        oracle_statistics = getattr(self.oracle, "statistics", None)
-        # A bounded window of in-flight chunks over the lazy suite: chunks
-        # are submitted as the generator produces them and consumed in
-        # suite order, so the first mismatching word wins deterministically
-        # while the parent queues at most max_inflight * batch_size words.
-        pending: Deque[Tuple[List[Word], List[Word], Optional[Future], int]] = deque()
-        # Reference-counted cover of every in-flight shipped word and its
-        # proper prefixes — bounded by the in-flight window, released as
-        # chunks merge into the trie.
-        inflight_cover: Dict[Word, int] = {}
-        inflight_words = 0
-        exhausted = False
-
-        def covered(word: Word) -> bool:
-            return cached_answer(word) is not None or word in inflight_cover
-
-        def submit_next() -> bool:
-            """Pull one more chunk from the suite and ship its missing words."""
-            nonlocal inflight_words
-            chunk = [tuple(word) for word in islice(suite, self.batch_size)]
-            if not chunk:
-                return False
-            already_covered = sum(1 for word in chunk if covered(word))
-            missing = [
-                word for word in dedupe_and_subsume(chunk) if not covered(word)
-            ]
-            future = pool.submit(missing) if missing else None
-            for word in missing:
-                for length in range(1, len(word) + 1):
-                    prefix = word[:length]
-                    inflight_cover[prefix] = inflight_cover.get(prefix, 0) + 1
-            pending.append((chunk, missing, future, already_covered))
-            inflight_words += len(chunk)
-            self.peak_inflight_words = max(self.peak_inflight_words, inflight_words)
-            return True
-
-        while True:
-            while not exhausted and len(pending) < self.max_inflight:
-                if not submit_next():
-                    exhausted = True
-            if not pending:
-                return None
-            chunk, missing, future, already_covered = pending.popleft()
-            inflight_words -= len(chunk)
-            self.statistics.test_words += len(chunk)
-            if oracle_statistics is not None:
-                # The same accounting a serial engine batch records — done at
-                # *consume* time, so chunks cancelled by a counterexample
-                # (which a serial run never reaches) are never counted.
-                oracle_statistics.record_batch(len(chunk), already_covered, len(missing))
-            if future is not None:
-                worker_answers = pool.collect(
-                    future, missing, statistics=oracle_statistics
-                )
-                self.statistics.parallel_chunks += 1
-                self.statistics.parallel_words += len(missing)
-                for word, outputs in zip(missing, worker_answers):
-                    # Feed the shared trie; raises NonDeterminismError when
-                    # a worker disagrees with a cached prefix.
-                    record_external(word, outputs)
-            for word in missing:
-                for length in range(1, len(word) + 1):
-                    prefix = word[:length]
-                    remaining = inflight_cover[prefix] - 1
-                    if remaining:
-                        inflight_cover[prefix] = remaining
-                    else:
-                        del inflight_cover[prefix]
-            for word in chunk:
-                actual = cached_answer(word)
-                if actual is None:  # pragma: no cover - every word is covered
-                    raise LearningError(
-                        f"suite word {word!r} was neither cached nor answered "
-                        "by its chunk"
-                    )
-                if actual != hypothesis.run(word):
-                    self._drain_and_cancel(suite, pending)
-                    return word
-
-    def _parallel_without_trie(
-        self, hypothesis: MealyMachine, suite: Iterator[Word]
-    ) -> Optional[Word]:
-        """Parallel path for plain oracles (no shared cache to merge into).
-
-        Answers for worker-executed words ride in a parent-side dictionary:
-        duplicates across chunks ride with the first chunk that contains
-        them, so later chunks may need them again.
-        """
-        pool = self._active_pool()
-        pending: Deque[Tuple[List[Word], List[Word], Optional[Future]]] = deque()
-        assigned: set = set()
-        inflight_words = 0
-        answers: Dict[Word, OutputWord] = {}
-        exhausted = False
-
-        def submit_next() -> bool:
-            nonlocal inflight_words
-            chunk = [tuple(word) for word in islice(suite, self.batch_size)]
-            if not chunk:
-                return False
-            missing: List[Word] = []
-            for word in chunk:
-                if word in assigned:
-                    continue
-                assigned.add(word)
-                missing.append(word)
-            future = pool.submit(missing) if missing else None
-            pending.append((chunk, missing, future))
-            inflight_words += len(chunk)
-            self.peak_inflight_words = max(self.peak_inflight_words, inflight_words)
-            return True
-
-        while True:
-            while not exhausted and len(pending) < self.max_inflight:
-                if not submit_next():
-                    exhausted = True
-            if not pending:
-                return None
-            chunk, missing, future = pending.popleft()
-            inflight_words -= len(chunk)
-            self.statistics.test_words += len(chunk)
-            if future is not None:
-                worker_answers = pool.collect(future, missing)
-                self.statistics.parallel_chunks += 1
-                self.statistics.parallel_words += len(missing)
-                for word, outputs in zip(missing, worker_answers):
-                    answers[word] = outputs
-            for word in chunk:
-                actual = answers.get(word)
-                if actual is None:
-                    actual = tuple(self.oracle.output_query(word))
-                if actual != hypothesis.run(word):
-                    self._drain_and_cancel(suite, pending)
-                    return word
 
 
 class RandomWalkEquivalenceOracle:

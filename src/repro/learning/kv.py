@@ -38,8 +38,7 @@ SNIPPETS.md snippet 1):
   not O(all transitions).
 
 Every sift level is dispatched as one deduped / prefix-subsumed batch
-through :func:`~repro.learning.query_engine.output_query_batch` (or
-fanned out across a :class:`~repro.learning.parallel.WorkerPool`), so the
+through :func:`~repro.learning.query_engine.output_query_batch`, so the
 tree reuses the query engine, the simkernel ``--kernel`` path and
 ``--resume`` stores, which live below the membership oracle and never see
 which learner is asking.
@@ -52,7 +51,6 @@ from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 from repro.core.mealy import MealyMachine
 from repro.errors import LearningError
 from repro.learning.oracles import MembershipOracle
-from repro.learning.parallel import WorkerPool
 from repro.learning.query_engine import output_query_batch
 
 Input = Hashable
@@ -129,20 +127,11 @@ class ClassificationTree:
     :meth:`refine`.
     """
 
-    def __init__(
-        self,
-        alphabet: Sequence[Input],
-        oracle: MembershipOracle,
-        *,
-        pool: Optional[WorkerPool] = None,
-        chunk_size: int = 64,
-    ) -> None:
+    def __init__(self, alphabet: Sequence[Input], oracle: MembershipOracle) -> None:
         if not alphabet:
             raise LearningError("cannot learn over an empty input alphabet")
         self.alphabet = tuple(alphabet)
         self.oracle = oracle
-        self.pool = pool
-        self.chunk_size = chunk_size
         self._access: List[Word] = []
         self._leaves: Dict[Word, _Leaf] = {}
         # The tree holds only the discriminators its splits actually created
@@ -223,11 +212,6 @@ class ClassificationTree:
 
     # -------------------------------------------------------------- internals
 
-    def _answer_batch(self, words: Sequence[Word]) -> List[OutputWord]:
-        if self.pool is not None and self.pool.parallel:
-            return self.pool.answer_batch(self.oracle, words, chunk_size=self.chunk_size)
-        return output_query_batch(self.oracle, words)
-
     def _create_leaf(
         self,
         access: Word,
@@ -300,7 +284,7 @@ class ClassificationTree:
                 continue
 
             probes = [entry[2] + entry[3].suffix for entry in self._pending]
-            answers = self._answer_batch(probes)
+            answers = output_query_batch(self.oracle, probes)
             for entry, answer in zip(self._pending, answers):
                 word, node = entry[2], entry[3]
                 key = tuple(answer)[len(word):]
@@ -320,7 +304,7 @@ class ClassificationTree:
         ]
         if missing:
             words = [self._access[state] + (symbol,) for state, symbol in missing]
-            answers = self._answer_batch(words)
+            answers = output_query_batch(self.oracle, words)
             for (state, symbol), answer in zip(missing, answers):
                 self._outputs[(state, symbol)] = answer[-1]
 
@@ -400,7 +384,7 @@ class ClassificationTree:
         new_access = tuple(new_access)
         if not suffix:
             raise LearningError("a Mealy split needs a non-empty distinguishing suffix")
-        answers = self._answer_batch([leaf.access + suffix, new_access + suffix])
+        answers = output_query_batch(self.oracle, [leaf.access + suffix, new_access + suffix])
         old_tail = tuple(answers[0])[len(leaf.access):]
         new_tail = tuple(answers[1])[len(new_access):]
         if old_tail == new_tail:
@@ -616,7 +600,7 @@ class ClassificationTree:
         singles = [(symbol,) for symbol in self.alphabet]
         probes = [word + candidate for candidate in singles for word in all_words]
         self.finalization_probe_words += len(probes)
-        flat = self._answer_batch(probes)
+        flat = output_query_batch(self.oracle, probes)
         answers: Dict[Tuple[Word, Word], OutputWord] = {}
         index = 0
         for candidate in singles:

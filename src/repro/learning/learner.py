@@ -9,8 +9,8 @@ Two learners implement the student side behind one interface:
   which refines a discrimination tree per counterexample instead of
   refilling an O(|S×Σ|·|E|) table every round.
 
-Both share :class:`ActiveLearner`: the query-engine wrapping, worker-pool
-ownership, per-round executed-query accounting, result building and
+Both share :class:`ActiveLearner`: the query-engine wrapping,
+per-round executed-query accounting, result building and
 statistics collection live here once, so the learners differ only in
 *how* they turn answers into hypotheses.  :func:`make_learner` builds
 either by name (the ``--learner {lstar,ttt}`` knob of the pipeline and
@@ -42,7 +42,6 @@ from repro.learning.oracles import (
     MembershipOracle,
     QueryStatistics,
 )
-from repro.learning.parallel import OracleFactory, WorkerPool
 
 Input = Hashable
 Word = Tuple[Input, ...]
@@ -104,17 +103,9 @@ class ActiveLearner:
     ``cache_queries`` is off, the oracle is wrapped in a
     :class:`~repro.learning.oracles.CachedMembershipOracle`.  An oracle
     that already is one is used as-is, which lets callers share one engine
-    between the learner and the equivalence oracle.
-
-    With ``workers=N`` (N > 1) and a picklable ``oracle_factory`` — or an
-    existing :class:`~repro.learning.parallel.WorkerPool` via ``pool=`` —
-    the learner's per-round query batches (table fill for L*, sift rounds
-    for TTT) fan out across worker processes; answers merge back through the
-    shared query engine in chunk-index order, so parallel runs learn
-    machines bit-identical to serial ones.  An owned pool (built from
-    ``workers=``) is shut down when :meth:`learn` returns; a shared pool
-    stays up for its owner (typically the pipeline, which hands the same
-    pool to the conformance tester so one flag parallelizes the whole run).
+    between the learner and the equivalence oracle.  Every query runs
+    serially through that one engine: the system under learning is a
+    single stateful cache set.
     """
 
     #: Registry name of the learner; subclasses override.
@@ -131,20 +122,12 @@ class ActiveLearner:
         counterexample_strategy: str = "rivest-schapire",
         max_rounds: int = 10_000,
         cache_queries: bool = True,
-        workers: Optional[int] = None,
-        oracle_factory: Optional[OracleFactory] = None,
-        pool: Optional[WorkerPool] = None,
-        fill_chunk_size: int = 64,
     ) -> None:
         if counterexample_strategy not in self.counterexample_strategies:
             raise LearningError(
                 f"learner {self.name!r} does not support counterexample strategy "
                 f"{counterexample_strategy!r}; expected one of "
                 f"{self.counterexample_strategies}"
-            )
-        if pool is not None and (workers is not None or oracle_factory is not None):
-            raise LearningError(
-                "pass either a shared pool or workers/oracle_factory, not both"
             )
         self.alphabet = tuple(alphabet)
         if not cache_queries or isinstance(membership_oracle, CachedMembershipOracle):
@@ -154,23 +137,10 @@ class ActiveLearner:
         self.equivalence_oracle = equivalence_oracle
         self.counterexample_strategy = counterexample_strategy
         self.max_rounds = max_rounds
-        self.fill_chunk_size = fill_chunk_size
-        self._owns_pool = False
-        self.pool = pool
-        if pool is None and workers is not None and workers > 1:
-            # WorkerPool validates workers >= 1 and the factory requirement.
-            self.pool = WorkerPool(oracle_factory, workers)
-            self._owns_pool = True
-        elif workers is not None and workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
 
     def learn(self) -> LearningResult:
         """Run the learning loop until the equivalence oracle is satisfied."""
-        try:
-            return self._learn()
-        finally:
-            if self._owns_pool and self.pool is not None:
-                self.pool.close()
+        return self._learn()
 
     def _learn(self) -> LearningResult:
         raise NotImplementedError  # pragma: no cover - subclasses implement
@@ -270,9 +240,7 @@ class ActiveLearner:
 class MealyLearner(ActiveLearner):
     """Observation-table L* learner for Mealy machines.
 
-    See :class:`ActiveLearner` for the engine/pool behaviour.  With a
-    parallel pool the observation-table fill answers each stabilisation
-    round's batch across worker processes.
+    See :class:`ActiveLearner` for the engine behaviour.
     """
 
     name = "lstar"
@@ -302,12 +270,7 @@ class MealyLearner(ActiveLearner):
 
     def _learn(self) -> LearningResult:
         self._start_run()
-        table = ObservationTable(
-            self.alphabet,
-            self.membership_oracle,
-            pool=self.pool,
-            chunk_size=self.fill_chunk_size,
-        )
+        table = ObservationTable(self.alphabet, self.membership_oracle)
         self.table = table
         counterexamples: List[Word] = []
 

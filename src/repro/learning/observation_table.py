@@ -35,15 +35,12 @@ assertion.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Sequence, Tuple
 
 from repro.core.mealy import MealyMachine
 from repro.errors import LearningError
 from repro.learning.oracles import MembershipOracle
 from repro.learning.query_engine import output_query_batch
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints only
-    from repro.learning.parallel import WorkerPool
 
 Input = Hashable
 Output = Hashable
@@ -60,31 +57,13 @@ class ObservationTable:
     stabilisation round, letting the oracle dedupe and prefix-subsume before
     a single word reaches the system under learning.  Row contents are
     memoised per prefix and invalidated when the suffix set changes.
-
-    With a parallel :class:`~repro.learning.parallel.WorkerPool` (``pool=``,
-    more than one worker), each round's deduped batch is split into
-    ``chunk_size`` chunks answered by worker processes and merged back in
-    chunk-index order — the membership side of learning runs on the same
-    pool as conformance testing, and the filled cells are bit-identical to
-    a serial fill.
     """
 
-    def __init__(
-        self,
-        alphabet: Sequence[Input],
-        oracle: MembershipOracle,
-        *,
-        pool: Optional["WorkerPool"] = None,
-        chunk_size: int = 64,
-    ) -> None:
+    def __init__(self, alphabet: Sequence[Input], oracle: MembershipOracle) -> None:
         if not alphabet:
             raise LearningError("the input alphabet must not be empty")
-        if chunk_size < 1:
-            raise LearningError(f"chunk_size must be >= 1, got {chunk_size}")
         self.alphabet: Tuple[Input, ...] = tuple(alphabet)
         self.oracle = oracle
-        self.pool = pool
-        self.chunk_size = chunk_size
         # Short prefixes (access words); prefix-closed, starts with epsilon.
         self.short_prefixes: List[Word] = [EMPTY]
         # Distinguishing suffixes; starts with every single input symbol so
@@ -128,20 +107,13 @@ class ObservationTable:
 
         All missing cells are collected and answered by a single batched
         query, so the oracle sees the whole round at once and can dedupe,
-        prefix-subsume and (for caches) reuse earlier answers.  With a
-        parallel pool the batch fans out over worker processes instead
-        (deterministic chunk-index-order merge keeps the cells identical).
+        prefix-subsume and (for caches) reuse earlier answers.
         """
         missing = self.missing_cells()
         if not missing:
             return
         words = [prefix + suffix for prefix, suffix in missing]
-        if self.pool is not None and self.pool.parallel:
-            answers = self.pool.answer_batch(
-                self.oracle, words, chunk_size=self.chunk_size
-            )
-        else:
-            answers = output_query_batch(self.oracle, words)
+        answers = output_query_batch(self.oracle, words)
         for (prefix, suffix), outputs in zip(missing, answers):
             self._cells[(prefix, suffix)] = tuple(outputs[len(prefix):])
 

@@ -66,10 +66,6 @@ class QueryStatistics:
     #: Conformance-suite words dropped by a ``max_tests`` truncation — when
     #: non-zero the (|H| + k)-completeness guarantee of Corollary 3.4 is void.
     tests_skipped: int = 0
-    #: Suite chunks shipped to pool workers by the parallel conformance path.
-    parallel_chunks: int = 0
-    #: Suite words answered by pool workers (and merged back into the trie).
-    parallel_words: int = 0
 
     def record_query(self, length: int) -> None:
         """Record one membership query of ``length`` symbols."""
@@ -290,29 +286,13 @@ class CachedMembershipOracle:
             results.append(outputs)
         return results
 
-    # --------------------------------------------------- external observations
+    # ------------------------------------------------------------- inspection
 
     def cached_answer(self, word: Sequence[Input]) -> "OutputWord | None":
         """Peek at the cache: the stored output word, or ``None`` — no statistics,
-        no delegate.  Used by the parallel conformance path to decide which
-        suite words must be shipped to pool workers."""
+        no delegate.  The classification tree uses it to check discriminator
+        candidates without executing anything."""
         return self._trie.lookup(tuple(word))
-
-    def record_external(self, word: Sequence[Input], outputs: Sequence[Output]) -> None:
-        """Merge an answer obtained elsewhere (e.g. by a pool worker) into the trie.
-
-        The insert performs the same consistency check as a locally executed
-        query: an answer disagreeing with any cached prefix raises
-        :class:`~repro.errors.NonDeterminismError`, so parallel execution
-        keeps the broken-reset detection of Section 7.1 intact.
-        """
-        word = tuple(word)
-        outputs = tuple(outputs)
-        if len(outputs) != len(word):
-            raise OutputLengthMismatchError(word, outputs)
-        self._trie.insert(word, outputs)
-
-    # ------------------------------------------------------------- inspection
 
     @property
     def size(self) -> int:

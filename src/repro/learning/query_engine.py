@@ -178,10 +178,8 @@ def partition_batch(words: Sequence[Word], lookup):
     stands *before* anything executes — the cache-hit count; ``cached`` is
     the ``(word, outputs)`` pairs among the deduped, prefix-subsumed maximal
     words the cache serves; ``missing`` the maximal words it cannot.  The
-    serial engine (:class:`~repro.learning.oracles.CachedMembershipOracle`)
-    and the parallel fill (:meth:`~repro.learning.parallel.WorkerPool.\
-answer_batch`) both partition through here, so their hit/subsumption
-    accounting can never drift apart.
+    engine (:class:`~repro.learning.oracles.CachedMembershipOracle`) records
+    these counts through ``QueryStatistics.record_batch``.
     """
     already_cached = sum(1 for word in words if lookup(word) is not None)
     cached: List[Tuple[Word, OutputWord]] = []

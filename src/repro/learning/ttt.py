@@ -43,7 +43,7 @@ class TTTLearner(ActiveLearner):
     """Classification-tree learner behind the
     :class:`~repro.learning.learner.ActiveLearner` interface.
 
-    Constructor, engine wrapping, pool semantics and result shape match
+    Constructor, engine wrapping and result shape match
     :class:`~repro.learning.learner.MealyLearner`; only the hypothesis
     data structure differs.  Requesting
     ``counterexample_strategy="prefixes"`` raises
@@ -98,12 +98,7 @@ class TTTLearner(ActiveLearner):
 
     def _learn(self) -> LearningResult:
         self._start_run()
-        tree = ClassificationTree(
-            self.alphabet,
-            self.membership_oracle,
-            pool=self.pool,
-            chunk_size=self.fill_chunk_size,
-        )
+        tree = ClassificationTree(self.alphabet, self.membership_oracle)
         self.tree = tree
         counterexamples: List[Word] = []
 

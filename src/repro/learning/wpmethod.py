@@ -20,9 +20,8 @@ Streaming
 ---------
 
 At depth ≥ 2 the suites grow into the hundreds of thousands of words
-(PLRU-8: ~350k), and materialising them in the parent process used to take
-noticeable time before the first test word could be executed or shipped to
-a pool worker.  :func:`iter_w_method_suite` / :func:`iter_wp_method_suite`
+(PLRU-8: ~350k), and materialising them used to take noticeable time
+before the first test word could be executed.  :func:`iter_w_method_suite` / :func:`iter_wp_method_suite`
 generate the **same words in the same order** lazily: the covers and
 characterization machinery are built eagerly (so a non-minimal machine
 still fails fast with :class:`~repro.errors.LearningError`), but the

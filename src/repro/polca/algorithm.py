@@ -124,10 +124,9 @@ class PolcaMembershipOracle:
     access chain per symbol; ``findEvicted``'s diverging probes still
     replay, and the session is re-anchored afterwards.
 
-    ``resume`` changes which measurements execute (strictly fewer), so
-    serial and process-parallel runs only report identical probe counters
-    when both use the same setting; the pipeline keeps it off for parallel
-    runs (a session is inherently a serial, stateful object).
+    ``resume`` changes which measurements execute (strictly fewer), so two
+    runs only report identical probe counters when both use the same
+    setting.
 
     ``kernel`` selects the execution strategy for *simulated* targets: when
     the interface exposes :meth:`kernel_policy` (it guarantees policy-exact

@@ -15,12 +15,11 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from repro.core.mealy import MealyMachine
-from repro.errors import LearningError
+from repro.core.mealy import MealyDefinitionError, MealyMachine
+from repro.errors import LearningError, PolicyError
 from repro.learning.equivalence import ConformanceEquivalenceOracle
 from repro.learning.learner import LEARNER_NAMES, LearningResult, make_learner
 from repro.learning.oracles import CachedMembershipOracle
-from repro.learning.parallel import OracleFactory, WorkerPool, oracle_factory_for_cache
 from repro.polca.algorithm import PolcaMembershipOracle, PolcaStatistics
 from repro.polca.interfaces import CacheProbeInterface, SimulatedCacheInterface
 from repro.policies.base import ReplacementPolicy
@@ -61,7 +60,9 @@ def identify_policy(
         try:
             policy = make_policy(name, associativity)
             reference = policy.to_mealy(max_states=200_000).minimize()
-        except Exception:  # policy not defined for this associativity (e.g. PLRU assoc 6)
+        except (PolicyError, MealyDefinitionError):
+            # Not defined for this associativity (PLRU at 3 or 6), or more
+            # reachable states than the bound (BRRIP at 8).
             continue
         if reference.size != machine.size:
             continue
@@ -73,16 +74,8 @@ def identify_policy(
 class PolicyLearningPipeline:
     """Configurable Polca + learner pipeline.
 
-    ``workers=N`` (N > 1) runs **both** query sides of learning on one
-    shared process pool: the observation-table fill answers each
-    stabilisation round's batch across the workers, and the conformance
-    tester streams lazily generated Wp-suite chunks into the same pool with
-    a bounded in-flight window.  Each worker rebuilds the system under test
-    from a picklable ``oracle_factory`` (derived automatically for
-    simulated caches and any picklable cache interface — see
-    :func:`repro.learning.parallel.oracle_factory_for_cache`); all answers
-    merge back into the shared query engine in deterministic order, so the
-    learned machine is bit-identical to a serial run.
+    Every query runs serially through one engine: the system under learning
+    is a single cache set, which worker processes could not share.
     """
 
     def __init__(
@@ -96,8 +89,6 @@ class PolicyLearningPipeline:
         identification_candidates: Optional[Sequence[str]] = None,
         max_tests: Optional[int] = None,
         batch_size: int = 64,
-        workers: Optional[int] = None,
-        oracle_factory: Optional[OracleFactory] = None,
         resume: bool = False,
         store=None,
         kernel: Optional[str] = "auto",
@@ -107,13 +98,6 @@ class PolicyLearningPipeline:
             raise LearningError(
                 f"unknown learner {learner!r}; expected one of {LEARNER_NAMES}"
             )
-        if resume and workers is not None and workers > 1:
-            raise LearningError(
-                "resume sessions are stateful and inherently serial; they also "
-                "change which measurements execute, so probe columns would no "
-                "longer be worker-count-invariant — use resume=True or "
-                "workers>1, not both"
-            )
         self.cache = cache
         self.depth = depth
         self.method = method
@@ -122,8 +106,6 @@ class PolicyLearningPipeline:
         self.identification_candidates = identification_candidates
         self.max_tests = max_tests
         self.batch_size = batch_size
-        self.workers = workers
-        self.oracle_factory = oracle_factory
         self.resume = resume
         #: Which student runs the loop: ``"lstar"`` (observation table, the
         #: paper's configuration) or ``"ttt"`` (classification tree — far
@@ -163,26 +145,12 @@ class PolicyLearningPipeline:
         engine = CachedMembershipOracle(
             polca, store=self.store, namespace=self._engine_namespace()
         )
-        parallel = self.workers is not None and self.workers > 1
-        pool = None
-        if parallel:
-            factory = self.oracle_factory
-            if factory is None:
-                factory = oracle_factory_for_cache(self.cache, kernel=self.kernel)
-            # One pool serves both the observation-table fill and the
-            # conformance tester; its per-worker accounting covers the run.
-            pool = WorkerPool(factory, self.workers)
-            # Worker-side Polca probe/hit deltas fold into the parent's
-            # statistics on collect, so Table 2/4 probe columns are
-            # worker-count-invariant instead of reading 0 under --workers.
-            pool.merge_targets.append(polca.statistics)
         equivalence = ConformanceEquivalenceOracle(
             engine,
             depth=self.depth,
             method=self.method,
             max_tests=self.max_tests,
             batch_size=self.batch_size,
-            pool=pool,
         )
         learner = make_learner(
             self.learner,
@@ -190,15 +158,8 @@ class PolicyLearningPipeline:
             engine,
             equivalence,
             counterexample_strategy=self.counterexample_strategy,
-            pool=pool,
-            fill_chunk_size=self.batch_size,
         )
-        try:
-            result = learner.learn()
-        finally:
-            equivalence.close()
-            if pool is not None:
-                pool.close()
+        result = learner.learn()
         machine = result.machine.minimize()
         identified = None
         if self.identify:
@@ -239,16 +200,6 @@ class PolicyLearningPipeline:
             extra["session_extends"] = polca.statistics.session_extends
         if self.store is not None:
             extra["store"] = self.store.statistics()
-        if parallel:
-            extra["workers"] = self.workers
-            extra["parallel_chunks"] = result.statistics.parallel_chunks
-            extra["parallel_words"] = result.statistics.parallel_words
-            extra["peak_inflight_words"] = equivalence.peak_inflight_words
-            extra["worker_query_counts"] = dict(pool.worker_query_counts)
-            extra["worker_symbol_counts"] = dict(pool.worker_symbol_counts)
-            extra["worker_statistics"] = {
-                pid: dict(counters) for pid, counters in pool.worker_statistics.items()
-            }
         return PolicyLearningReport(
             machine=machine,
             learning_result=result,

@@ -17,8 +17,8 @@ replaces that loop for bounded policies:
 
 Consumers pick a kernel with the ``kernel=`` knob threaded through
 :class:`~repro.polca.algorithm.PolcaMembershipOracle`,
-:class:`~repro.polca.pipeline.PolicyLearningPipeline`, the worker factories
-and the experiment CLI (``--kernel {auto,python,numpy,scalar}``); answers
+:class:`~repro.polca.pipeline.PolicyLearningPipeline` and the experiment
+CLI (``--kernel {auto,python,numpy,scalar}``); answers
 and statistics are bit-identical across kernels and the legacy scalar path
 by construction, a property ``tests/test_property_fuzz.py`` enforces.
 """

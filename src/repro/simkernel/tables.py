@@ -24,10 +24,7 @@ The encoding is shared by both execution kernels
 tuples directly and the numpy stepper reshapes them into ``int32``
 ``(num_states, num_symbols)`` gather tables.
 
-Tables are immutable, hashable-free plain data and therefore picklable —
-though the worker pools deliberately *rebuild* them from the policy name at
-pool init instead of shipping them (see
-:class:`~repro.learning.parallel.SimulatedPolicyOracleFactory`).
+Tables are immutable plain data.
 """
 
 from __future__ import annotations

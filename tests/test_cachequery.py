@@ -49,6 +49,22 @@ class TestClassification:
         with pytest.raises(CacheQueryError):
             calibrate_classifier(_cpu(), "L1", samples=2)
 
+    def test_calibration_falls_back_to_the_midpoint_for_an_unknown_level(self):
+        cpu = _cpu()
+        classifier = calibrate_classifier(cpu, "L4")
+        midpoint = (cpu.timing.base_latency("L1") + cpu.timing.base_latency(None)) / 2
+        assert classifier.threshold_cycles == midpoint
+
+    def test_calibration_propagates_unexpected_timing_errors(self, monkeypatch):
+        cpu = _cpu()
+
+        def broken(level):
+            raise RuntimeError("timing model bug")
+
+        monkeypatch.setattr(cpu.timing, "hit_threshold", broken)
+        with pytest.raises(RuntimeError, match="timing model bug"):
+            calibrate_classifier(cpu, "L1")
+
 
 class TestQueryCache:
     def test_put_get_and_statistics(self):

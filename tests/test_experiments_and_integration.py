@@ -146,13 +146,6 @@ class TestTable4:
 
 
 class TestCLIFlags:
-    def test_resume_with_workers_rejected(self, capsys):
-        from repro.experiments.cli import main
-
-        with pytest.raises(SystemExit):
-            main(["table2", "--resume", "--workers", "2"])
-        assert "serial-only" in capsys.readouterr().err
-
     def test_cache_path_flag_prints_store_summary(self, tmp_path, capsys):
         from repro.experiments import table2 as table2_module
         from repro.experiments.cli import main
@@ -167,25 +160,6 @@ class TestCLIFlags:
         out = capsys.readouterr().out
         assert "prefix store" in out
         assert path.exists()
-
-    def test_workers_zero_is_explicit_serial(self, capsys):
-        from repro.experiments import table2 as table2_module
-        from repro.experiments.cli import main
-
-        original = table2_module.table2_configurations
-        table2_module.table2_configurations = lambda mode: [("LRU", 2)]
-        try:
-            assert main(["table2", "--workers", "0"]) == 0
-        finally:
-            table2_module.table2_configurations = original
-        assert "LRU" in capsys.readouterr().out
-
-    def test_negative_workers_rejected(self, capsys):
-        from repro.experiments.cli import main
-
-        with pytest.raises(SystemExit):
-            main(["table2", "--workers", "-1"])
-        assert "0 means serial" in capsys.readouterr().err
 
     def test_store_server_with_cache_path_rejected(self, capsys):
         from repro.experiments.cli import main

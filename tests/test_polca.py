@@ -197,6 +197,44 @@ class TestPipeline:
         machine = make_policy("LRU", 2).to_mealy().minimize()
         assert identify_policy(machine, 2, candidates=["LRU"]) == "LRU"
 
+    def test_identify_policy_skips_candidates_undefined_at_the_associativity(self):
+        # Tree PLRU needs a power-of-two associativity: at 3 it raises
+        # PolicyError and is skipped, not fatal.
+        with pytest.raises(PolicyError):
+            make_policy("PLRU", 3)
+        machine = make_policy("LRU", 3).to_mealy().minimize()
+        assert identify_policy(machine, 3, candidates=["PLRU", "LRU"]) == "LRU"
+
+    def test_identify_policy_skips_references_beyond_the_state_bound(self, monkeypatch):
+        import repro.polca.pipeline as pipeline
+        from repro.core.mealy import MealyDefinitionError
+
+        class Unbounded:
+            def to_mealy(self, *, max_states):
+                raise MealyDefinitionError(f"exceeded max_states={max_states}")
+
+        real = pipeline.make_policy
+        monkeypatch.setattr(
+            pipeline,
+            "make_policy",
+            lambda name, associativity: (
+                Unbounded() if name == "BIP" else real(name, associativity)
+            ),
+        )
+        machine = make_policy("LRU", 2).to_mealy().minimize()
+        assert identify_policy(machine, 2, candidates=["BIP", "LRU"]) == "LRU"
+
+    def test_identify_policy_propagates_unexpected_errors(self, monkeypatch):
+        import repro.polca.pipeline as pipeline
+
+        def broken(name, associativity):
+            raise RuntimeError("registry bug")
+
+        monkeypatch.setattr(pipeline, "make_policy", broken)
+        machine = make_policy("LRU", 2).to_mealy().minimize()
+        with pytest.raises(RuntimeError, match="registry bug"):
+            identify_policy(machine, 2, candidates=["LRU"])
+
     def test_learn_simulated_policy_requires_policy_instance(self):
         with pytest.raises(Exception):
             learn_simulated_policy("LRU")

@@ -1,20 +1,19 @@
-"""Property-based differential fuzzing of serial vs. fully parallel learning.
+"""Property-based differential fuzzing of learning against ground truth.
 
-The PR 2 differential harness checks the fixed policy registry; this layer
-generalises it to *generated* instances, fuzzing the whole parallel stack —
-process-parallel observation-table fill **and** streamed parallel
-conformance testing on one shared :class:`~repro.learning.parallel.\
-WorkerPool` — against the serial reference:
+The differential harness checks the fixed policy registry; this layer
+generalises it to *generated* instances, checking every learned machine
+against the machine it was learned from:
 
-* seeded random Mealy machines (random size, alphabet, outputs) learned
-  serially and with ``workers=2`` must produce **field-by-field identical**
-  results: the machine (states, transitions, outputs — ``==``, not mere
-  equivalence), the round count and the counterexample sequence;
+* seeded random Mealy machines (random size, alphabet, outputs) must be
+  learned exactly: the learned machine has the reference's size and is
+  equivalent to it, and L* and TTT learn **field-by-field identical**
+  machines (states, transitions, outputs — ``==``, not mere equivalence);
 * seeded random policy configurations from the registry, learned through
-  the full Polca pipeline both ways, must agree the same way; and
+  the full Polca pipeline, must match the policy's own minimal machine the
+  same way, and every execution kernel must reproduce the run exactly; and
 * replaying seeded random words against a fresh reference (the machine
   itself, or a fresh Polca-driven simulator) must match the learned
-  machine, catching a bug that corrupted both runs identically.
+  machine.
 
 The default budget is intentionally small (seconds); the wide sweeps are
 ``slow``-marked.
@@ -34,7 +33,6 @@ from repro.learning.equivalence import ConformanceEquivalenceOracle
 from repro.learning.learner import LearningResult, MealyLearner
 from repro.learning.ttt import TTTLearner
 from repro.learning.oracles import CachedMembershipOracle, MealyMachineOracle
-from repro.learning.parallel import MealyMachineOracleFactory, WorkerPool
 from repro.polca.algorithm import PolcaMembershipOracle
 from repro.polca.interfaces import SimulatedCacheInterface
 from repro.polca.pipeline import learn_simulated_policy
@@ -85,63 +83,36 @@ def _replay_words(tag: str, alphabet) -> List[Tuple]:
     ]
 
 
-def _learn_machine(machine: MealyMachine, workers: int = 1) -> LearningResult:
-    """Learn ``machine`` white-box; with workers > 1 both oracle sides run
-    on one shared pool (parallel table fill + parallel streamed suite)."""
+def _learn_machine(machine: MealyMachine) -> LearningResult:
+    """Learn ``machine`` white-box with L* at conformance depth 2."""
     engine = CachedMembershipOracle(MealyMachineOracle(machine))
-    if workers > 1:
-        with WorkerPool(MealyMachineOracleFactory(machine), workers) as pool:
-            equivalence = ConformanceEquivalenceOracle(engine, depth=2, pool=pool)
-            learner = MealyLearner(machine.inputs, engine, equivalence, pool=pool)
-            result = learner.learn()
-        # Table fill and suite execution ran on the pool; the only parent
-        # executions allowed are Rivest–Schapire's binary-search probes,
-        # which are inherently sequential and usually cache hits.
-        assert result.statistics.parallel_words >= 1
-        return result
     equivalence = ConformanceEquivalenceOracle(engine, depth=2)
     return MealyLearner(machine.inputs, engine, equivalence).learn()
 
 
-def _assert_machine_differential(seed: int) -> None:
+def _assert_machine_ground_truth(seed: int) -> None:
     reference = _random_mealy(seed)
-    serial = _learn_machine(reference)
-    parallel = _learn_machine(reference, workers=2)
+    result = _learn_machine(reference)
 
-    # Field-by-field identity, not mere equivalence.
-    assert parallel.machine == serial.machine, f"seed {seed}: machines diverged"
-    assert parallel.machine.size == serial.machine.size
-    assert parallel.rounds == serial.rounds, f"seed {seed}: round counts diverged"
-    assert parallel.counterexamples == serial.counterexamples, (
-        f"seed {seed}: counterexample sequences diverged"
-    )
-
-    # Replay against the reference: learning was exact for these seeds, so
-    # the learned machine must reproduce the system under learning.
-    assert parallel.machine.size == reference.size
+    # Learning is exact for these seeds: the learned machine is the
+    # reference's minimal machine, and it reproduces the system under
+    # learning word for word.
+    assert result.machine.size == reference.size, f"seed {seed}: sizes diverged"
+    assert result.machine.equivalent(reference), f"seed {seed}: not equivalent"
     for word in _replay_words(f"machine-{seed}", tuple(reference.inputs)):
-        assert parallel.machine.run(word) == reference.run(word), (
+        assert result.machine.run(word) == reference.run(word), (
             f"seed {seed}: learned machine disagrees with the reference on {word!r}"
         )
 
 
-def _assert_policy_differential(policy_name: str) -> None:
+def _assert_policy_ground_truth(policy_name: str) -> None:
     depth = EXACT_DEPTH.get(policy_name, 1)
-    policy = make_policy(policy_name, ASSOCIATIVITY)
-    serial = learn_simulated_policy(policy, depth=depth, identify=False)
-    parallel = learn_simulated_policy(
-        make_policy(policy_name, ASSOCIATIVITY), depth=depth, identify=False, workers=2
+    report = learn_simulated_policy(
+        make_policy(policy_name, ASSOCIATIVITY), depth=depth, identify=False
     )
-
-    assert parallel.machine == serial.machine, f"{policy_name}: machines diverged"
-    assert (
-        parallel.learning_result.rounds == serial.learning_result.rounds
-    ), f"{policy_name}: round counts diverged"
-    assert (
-        parallel.learning_result.counterexamples
-        == serial.learning_result.counterexamples
-    ), f"{policy_name}: counterexample sequences diverged"
-    assert parallel.extra["workers"] == 2
+    reference = make_policy(policy_name, ASSOCIATIVITY).to_mealy().minimize()
+    assert report.machine.size == reference.size, f"{policy_name}: sizes diverged"
+    assert report.machine.equivalent(reference), f"{policy_name}: not equivalent"
 
     # Replay seeded random words through a fresh Polca-driven simulator.
     oracle = PolcaMembershipOracle(
@@ -149,7 +120,7 @@ def _assert_policy_differential(policy_name: str) -> None:
     )
     alphabet = tuple(oracle.alphabet())
     for word in _replay_words(f"policy-{policy_name}", alphabet):
-        assert parallel.machine.run(word) == tuple(oracle.output_query(word)), (
+        assert report.machine.run(word) == tuple(oracle.output_query(word)), (
             f"{policy_name}: learned machine disagrees with the simulator on {word!r}"
         )
 
@@ -193,22 +164,17 @@ def _assert_kernel_differential(policy_name: str) -> None:
         ), f"{policy_name}/{kernel}: Polca probe accounting diverged"
 
 
-def _learn_machine_ttt(machine: MealyMachine, workers: int = 1) -> LearningResult:
+def _learn_machine_ttt(machine: MealyMachine) -> LearningResult:
     """Learn ``machine`` white-box with the TTT-refined tree learner."""
     engine = CachedMembershipOracle(MealyMachineOracle(machine))
-    if workers > 1:
-        with WorkerPool(MealyMachineOracleFactory(machine), workers) as pool:
-            equivalence = ConformanceEquivalenceOracle(engine, depth=2, pool=pool)
-            learner = TTTLearner(machine.inputs, engine, equivalence, pool=pool)
-            return learner.learn()
     equivalence = ConformanceEquivalenceOracle(engine, depth=2)
     return TTTLearner(machine.inputs, engine, equivalence).learn()
 
 
 def _assert_ttt_machine_differential(seed: int) -> None:
-    """TTT on a seeded random machine: bit-identical to L*, replay-exact,
-    and invariant under a 2-worker pool — the finalization and incremental
-    sifting layers are refinement strategies, never observables."""
+    """TTT on a seeded random machine: bit-identical to L* and replay-exact
+    — the finalization and incremental sifting layers are refinement
+    strategies, never observables."""
     reference = _random_mealy(seed)
     lstar = _learn_machine(reference)
     ttt = _learn_machine_ttt(reference)
@@ -220,11 +186,6 @@ def _assert_ttt_machine_differential(seed: int) -> None:
         assert ttt.machine.run(word) == reference.run(word), (
             f"seed {seed}: TTT-learned machine disagrees with the reference on {word!r}"
         )
-
-    parallel = _learn_machine_ttt(reference, workers=2)
-    assert parallel.machine == ttt.machine, f"seed {seed}: parallel TTT diverged"
-    assert parallel.rounds == ttt.rounds
-    assert parallel.counterexamples == ttt.counterexamples
 
 
 def _regression_machine(num_states: int, seed: int) -> MealyMachine:
@@ -252,8 +213,8 @@ def _seeded_policy_sample(count: int) -> List[str]:
 
 
 @pytest.mark.parametrize("seed", FAST_MACHINE_SEEDS)
-def test_random_machine_parallel_learning_is_identical(seed):
-    _assert_machine_differential(seed)
+def test_random_machine_learning_matches_reference(seed):
+    _assert_machine_ground_truth(seed)
 
 
 @pytest.mark.parametrize("seed", FAST_MACHINE_SEEDS)
@@ -294,8 +255,8 @@ def test_regression_seed_116_ttt_hypotheses_are_minimal(monkeypatch):
 
 
 @pytest.mark.parametrize("policy_name", _seeded_policy_sample(3))
-def test_random_policy_parallel_learning_is_identical(policy_name):
-    _assert_policy_differential(policy_name)
+def test_random_policy_learning_matches_reference(policy_name):
+    _assert_policy_ground_truth(policy_name)
 
 
 @pytest.mark.parametrize("policy_name", _seeded_policy_sample(3))
@@ -308,8 +269,8 @@ def test_random_policy_kernels_are_identical(policy_name):
 
 @pytest.mark.slow
 @pytest.mark.parametrize("seed", SLOW_MACHINE_SEEDS)
-def test_random_machine_parallel_learning_is_identical_wide(seed):
-    _assert_machine_differential(seed)
+def test_random_machine_learning_matches_reference_wide(seed):
+    _assert_machine_ground_truth(seed)
 
 
 @pytest.mark.slow
@@ -322,9 +283,9 @@ def test_random_machine_ttt_learning_is_identical_wide(seed):
 @pytest.mark.parametrize(
     "policy_name", [name for name in available_policies()]
 )
-def test_every_policy_parallel_learning_is_identical_exact(policy_name):
+def test_every_policy_learning_matches_reference_exact(policy_name):
     """The full registry at its exact depths (BRRIP included: seconds/run)."""
-    _assert_policy_differential(policy_name)
+    _assert_policy_ground_truth(policy_name)
 
 
 @pytest.mark.slow

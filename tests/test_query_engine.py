@@ -15,6 +15,7 @@ from repro.learning import (
     MealyMachineOracle,
     ObservationTable,
     PerfectEquivalenceOracle,
+    RandomWalkEquivalenceOracle,
     ResponseTrie,
     dedupe_and_subsume,
     output_query_batch,
@@ -189,6 +190,13 @@ class TestCachedMembershipOracle:
         assert "2-symbol" in str(info.value)
         assert str(["a", "b"]) not in str(info.value).split(":")[-1]
 
+    def test_cached_answer_is_a_pure_peek(self):
+        machine = make_policy("LRU", 2).to_mealy().minimize()
+        engine = CachedMembershipOracle(MealyMachineOracle(machine))
+        assert engine.cached_answer(tuple(machine.inputs)) is None
+        assert engine.statistics.membership_queries == 0
+        assert engine.statistics.cache_hits == 0
+
 
 class TestObservationTableBatching:
     def test_fill_issues_one_batch_per_round(self):
@@ -280,19 +288,57 @@ class TestConformanceBatchingAndTruncation:
             assert counterexample is not None
             assert reference.run(counterexample) != wrong.run(counterexample)
 
-    def test_executor_path_matches_serial(self):
-        from concurrent.futures import ThreadPoolExecutor
-
-        reference = make_policy("PLRU", 4).to_mealy().minimize()
-        oracle = MealyMachineOracle(reference)
-        with ThreadPoolExecutor(max_workers=2) as executor:
-            equivalence = ConformanceEquivalenceOracle(oracle, depth=1, executor=executor)
-            assert equivalence.find_counterexample(reference) is None
-
     def test_invalid_batch_size_rejected(self):
         oracle = FunctionOracle(_echo)
         with pytest.raises(ValueError):
             ConformanceEquivalenceOracle(oracle, batch_size=0)
+
+
+class TestRandomWalkBatching:
+    def test_random_walk_uses_the_batched_engine(self):
+        reference = make_policy("LRU", 4).to_mealy().minimize()
+        engine = CachedMembershipOracle(MealyMachineOracle(reference))
+        oracle = RandomWalkEquivalenceOracle(
+            engine, reference.inputs, num_words=40, seed=7, batch_size=16
+        )
+        assert oracle.find_counterexample(reference) is None
+        assert engine.statistics.batches >= 3  # ceil(40 / 16)
+        assert oracle.statistics.test_words == 40
+
+    def test_random_walk_finds_counterexample_within_first_batch(self):
+        reference = make_policy("LRU", 4).to_mealy().minimize()
+        wrong = make_policy("FIFO", 4).to_mealy().minimize()
+        engine = CachedMembershipOracle(MealyMachineOracle(reference))
+        oracle = RandomWalkEquivalenceOracle(
+            engine, reference.inputs, num_words=200, seed=3, batch_size=32
+        )
+        counterexample = oracle.find_counterexample(wrong)
+        assert counterexample is not None
+        assert reference.run(counterexample) != wrong.run(counterexample)
+        # Stopped at the first mismatching batch, not after all 200 words.
+        assert oracle.statistics.test_words <= 200
+
+    def test_random_walk_counterexample_stable_for_seed(self):
+        reference = make_policy("LRU", 4).to_mealy().minimize()
+        wrong = make_policy("FIFO", 4).to_mealy().minimize()
+
+        def run_once(batch_size):
+            engine = CachedMembershipOracle(MealyMachineOracle(reference))
+            oracle = RandomWalkEquivalenceOracle(
+                engine, reference.inputs, num_words=200, seed=11, batch_size=batch_size
+            )
+            return oracle.find_counterexample(wrong)
+
+        # The first mismatching word in generation order does not depend on
+        # how the words are chunked into batches.
+        assert run_once(1) == run_once(64) == run_once(200)
+
+    def test_random_walk_rejects_bad_batch_size(self):
+        engine = CachedMembershipOracle(
+            MealyMachineOracle(make_policy("LRU", 2).to_mealy().minimize())
+        )
+        with pytest.raises(ValueError):
+            RandomWalkEquivalenceOracle(engine, ("a",), batch_size=0)
 
 
 class TestPolcaBatch:
@@ -355,6 +401,38 @@ class TestLearnerEngineEquivalence:
             reference.inputs, engine, PerfectEquivalenceOracle(reference)
         )
         assert learner.membership_oracle is engine
+
+
+class TestSerialQueryPath:
+    def test_process_pool_is_gone(self, capsys):
+        """The process pool and the thread-executor fan-out were removed:
+        every query runs serially through the one engine."""
+        import importlib
+
+        from repro.experiments.cli import main as cli_main
+        from repro.polca.pipeline import PolicyLearningPipeline, learn_simulated_policy
+
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["table2", "--workers", "2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --workers" in capsys.readouterr().err
+        with pytest.raises(TypeError):
+            learn_simulated_policy(make_policy("LRU", 2), workers=2)
+        with pytest.raises(TypeError):
+            PolicyLearningPipeline(
+                SimulatedCacheInterface(make_policy("LRU", 2)), workers=2
+            )
+        reference = make_policy("LRU", 2).to_mealy()
+        oracle = MealyMachineOracle(reference)
+        with pytest.raises(TypeError):
+            MealyLearner(
+                reference.inputs, oracle, PerfectEquivalenceOracle(reference), workers=2
+            )
+        for option in ("pool", "executor"):
+            with pytest.raises(TypeError):
+                ConformanceEquivalenceOracle(oracle, **{option: None})
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.learning.parallel")
 
 
 class TestBackendCodegenRegression:

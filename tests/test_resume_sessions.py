@@ -11,7 +11,7 @@ Covers the PR-5 resume protocol at every layer:
   — ``supports_resume`` advertised, state reconstruction from cached prefix
   outputs, measurable probe/symbol savings, identical outputs;
 * the pipeline flag: machines learned with ``resume=True`` are bit-identical
-  to plain runs, and resume + workers is rejected.
+  to plain runs.
 """
 
 from __future__ import annotations
@@ -241,9 +241,3 @@ class TestPipelineResume:
         reference = learn_simulated_policy(make_policy("PLRU", 2), depth=1, identify=False)
         assert report.machine.size == reference.machine.size
         assert report.machine.equivalent(reference.machine)
-
-    def test_resume_rejected_with_workers(self):
-        with pytest.raises(LearningError, match="resume"):
-            learn_simulated_policy(
-                make_policy("LRU", 2), depth=1, resume=True, workers=2
-            )

@@ -317,10 +317,3 @@ def test_pipeline_reports_kernel_and_learns_identically():
     auto = learn_simulated_policy(make_policy("MRU", 3), kernel="auto")
     assert auto.extra["kernel"] == ("numpy" if numpy_available() else "python")
     assert auto.machine == scalar.machine
-
-
-def test_parallel_kernel_run_is_worker_count_invariant():
-    serial = learn_simulated_policy(make_policy("PLRU", 4), kernel="python")
-    parallel = learn_simulated_policy(make_policy("PLRU", 4), kernel="python", workers=2)
-    assert parallel.machine == serial.machine
-    assert asdict(parallel.polca_statistics) == asdict(serial.polca_statistics)
