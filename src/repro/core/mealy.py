@@ -43,6 +43,10 @@ class MealyDefinitionError(ReproError):
     """The machine definition is incomplete or inconsistent."""
 
 
+class StateBoundError(MealyDefinitionError):
+    """An exploration discovered more states (or state pairs) than its bound."""
+
+
 @dataclass
 class MealyMachine:
     """A deterministic, complete Mealy machine.
@@ -272,19 +276,47 @@ class MealyMachine:
         """
         if set(self.inputs) != set(other.inputs):
             raise MealyDefinitionError("machines have different input alphabets")
-        start = (self.initial_state, other.initial_state)
+        return self.counterexample_against(other.initial_state, other.step)
+
+    def counterexample_against(
+        self,
+        initial_state: State,
+        step: Callable[[State, Input], Tuple[State, Output]],
+        *,
+        state: Optional[State] = None,
+        max_pairs: Optional[int] = None,
+    ) -> Optional[Tuple[Input, ...]]:
+        """Return a shortest word on which this machine and ``step`` disagree.
+
+        ``step(state, input) -> (next_state, output)`` is any deterministic
+        system started in ``initial_state`` (a machine's :meth:`step`, or a
+        replacement policy's), read over this machine's inputs from
+        ``state`` (the initial state by default).  The walk is a
+        breadth-first search over the reachable (own state, other state)
+        pairs, in input order, that stops at the first output mismatch; the
+        other system is never enumerated on its own.  Returns ``None`` when
+        no reachable pair disagrees.  Raises :class:`StateBoundError` when
+        more than ``max_pairs`` pairs are reached before that is settled.
+        """
+        transitions = self.transitions
+        outputs = self.outputs
+        start = (self.initial_state if state is None else state, initial_state)
         visited = {start}
         queue: deque = deque([(start, ())])
         while queue:
             (state_a, state_b), word = queue.popleft()
             for symbol in self.inputs:
-                next_a, out_a = self.step(state_a, symbol)
-                next_b, out_b = other.step(state_b, symbol)
+                key = (state_a, symbol)
+                next_b, out_b = step(state_b, symbol)
                 extended = word + (symbol,)
-                if out_a != out_b:
+                if outputs[key] != out_b:
                     return extended
-                pair = (next_a, next_b)
+                pair = (transitions[key], next_b)
                 if pair not in visited:
+                    if max_pairs is not None and len(visited) >= max_pairs:
+                        raise StateBoundError(
+                            f"product walk exceeded max_pairs={max_pairs}"
+                        )
                     visited.add(pair)
                     queue.append((pair, extended))
         return None
@@ -335,7 +367,7 @@ def mealy_from_step_function(
 
     ``step(state, input) -> (next_state, output)`` must be deterministic and
     produce hashable states.  The exploration is a breadth-first search from
-    ``initial_state``; it raises :class:`MealyDefinitionError` when more than
+    ``initial_state``; it raises :class:`StateBoundError` when more than
     ``max_states`` states are discovered, which guards against accidentally
     enumerating an unbounded system.
 
@@ -357,7 +389,7 @@ def mealy_from_step_function(
             outputs[(state, symbol)] = output
             if successor not in seen:
                 if len(seen) >= max_states:
-                    raise MealyDefinitionError(
+                    raise StateBoundError(
                         f"state enumeration exceeded max_states={max_states}"
                     )
                 seen.add(successor)

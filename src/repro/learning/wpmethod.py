@@ -39,10 +39,8 @@ consumer's in-flight window instead of the full suite.
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import product
 from typing import (
-    Deque,
     Dict,
     Hashable,
     Iterable,
@@ -115,28 +113,12 @@ def _distinguishing_suffix(
         hit = cache.get(pair_key)
         if hit is not None:
             return hit
-    transitions = machine.transitions
-    outputs = machine.outputs
-    inputs = machine.inputs
-    visited: Set[Tuple[Hashable, Hashable]] = {(state_a, state_b)}
-    queue: Deque[Tuple[Hashable, Hashable, Word]] = deque([(state_a, state_b, ())])
-    while queue:
-        current_a, current_b, word = queue.popleft()
-        for symbol in inputs:
-            key_a = (current_a, symbol)
-            key_b = (current_b, symbol)
-            extended = word + (symbol,)
-            if outputs[key_a] != outputs[key_b]:
-                if cache is not None:
-                    cache[pair_key] = extended
-                return extended
-            pair = (transitions[key_a], transitions[key_b])
-            if pair not in visited:
-                visited.add(pair)
-                queue.append((pair[0], pair[1], extended))
-    raise LearningError(
-        "states are equivalent; the machine is not minimal"
-    )
+    suffix = machine.counterexample_against(state_b, machine.step, state=state_a)
+    if suffix is None:
+        raise LearningError("states are equivalent; the machine is not minimal")
+    if cache is not None:
+        cache[pair_key] = suffix
+    return suffix
 
 
 def characterization_set(

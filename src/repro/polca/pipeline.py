@@ -11,11 +11,12 @@ unknown machines "New1"/"New2").
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from repro.core.mealy import MealyDefinitionError, MealyMachine
+from repro.core.mealy import MealyDefinitionError, MealyMachine, StateBoundError
 from repro.errors import LearningError, PolicyError
 from repro.learning.equivalence import ConformanceEquivalenceOracle
 from repro.learning.learner import LEARNER_NAMES, LearningResult, make_learner
@@ -44,6 +45,14 @@ class PolicyLearningReport:
         return self.machine.size
 
 
+#: Most (learned state, policy state) pairs one candidate's identification
+#: walk may visit.  For an equivalent candidate the walk visits exactly the
+#: policy's reachable states, because the learned machine is minimal.
+IDENTIFICATION_PAIR_BOUND = 200_000
+
+_log = logging.getLogger("repro")
+
+
 def identify_policy(
     machine: MealyMachine,
     associativity: int,
@@ -54,19 +63,44 @@ def identify_policy(
     This is how Table 4 labels learned automata: machines equivalent to a
     manually implemented reference (e.g. tree PLRU) get that name; machines
     equivalent to none of the references are "previously undocumented".
+
+    Candidates (``candidates``, else every registered policy in name order)
+    are tried in order and the first equivalent one is returned, so at low
+    associativity coincidences resolve by order (MRU-2 is ``"LRU"``).  Each
+    candidate is checked by one product walk of ``machine`` against the
+    policy's own ``step`` (:meth:`MealyMachine.counterexample_against`),
+    which stops at the first output mismatch; no reference machine is built.
+    A candidate undefined at ``associativity`` is skipped, and so is one
+    whose walk exceeds :data:`IDENTIFICATION_PAIR_BOUND` pairs, with a
+    warning on the ``repro`` logger.
     """
     names = list(candidates) if candidates is not None else available_policies()
+    inputs = set(machine.inputs)
     for name in names:
         try:
             policy = make_policy(name, associativity)
-            reference = policy.to_mealy(max_states=200_000).minimize()
-        except (PolicyError, MealyDefinitionError):
-            # Not defined for this associativity (PLRU at 3 or 6), or more
-            # reachable states than the bound (BRRIP at 8).
+            if set(policy.input_alphabet()) != inputs:
+                raise MealyDefinitionError(
+                    f"{name}-{associativity} has a different input alphabet"
+                )
+            divergence = machine.counterexample_against(
+                policy.initial_state(),
+                policy.step,
+                max_pairs=IDENTIFICATION_PAIR_BOUND,
+            )
+        except PolicyError:
+            # Not defined for this associativity (PLRU at 3 or 6).
             continue
-        if reference.size != machine.size:
+        except StateBoundError:
+            _log.warning(
+                "identification skipped %s at associativity %d: "
+                "walk exceeded %d state pairs",
+                name,
+                associativity,
+                IDENTIFICATION_PAIR_BOUND,
+            )
             continue
-        if reference.equivalent(machine):
+        if divergence is None:
             return name
     return None
 

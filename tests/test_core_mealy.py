@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.mealy import MealyDefinitionError, MealyMachine, mealy_from_step_function
+from repro.core.mealy import (
+    MealyDefinitionError,
+    MealyMachine,
+    StateBoundError,
+    mealy_from_step_function,
+)
 
 
 def _toggle_machine():
@@ -115,6 +120,19 @@ class TestEquivalence:
         other = MealyMachine(["s"], "s", ["z"], {("s", "z"): "s"}, {("s", "z"): 0})
         with pytest.raises(MealyDefinitionError):
             machine.find_counterexample(other)
+
+    def test_walk_against_a_step_function(self):
+        machine = _toggle_machine()
+        # An unbounded counter whose output is its parity: trace-equivalent
+        # to the toggle on "a", but it never revisits a state.
+        def counter(state, symbol):
+            successor = state + 1 if symbol == "a" else state
+            return successor, state % 2
+
+        with pytest.raises(StateBoundError, match="max_pairs=10"):
+            machine.counterexample_against(0, counter, max_pairs=10)
+        assert machine.counterexample_against(0, lambda s, x: (s, 0)) == ("a", "a")
+        assert machine.counterexample_against("even", machine.step) is None
 
     def test_to_dot_mentions_all_states(self):
         dot = _toggle_machine().to_dot()

@@ -1,10 +1,13 @@
 """Tests for Polca (Algorithm 1), reset strategies and the learning pipeline."""
 
+import logging
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.alphabet import EVICT, MISS_OUTPUT, Line, policy_input_alphabet
+from repro.core.mealy import MealyDefinitionError
 from repro.core.trace import Trace
 from repro.errors import NonDeterminismError, PolicyError
 from repro.polca import (
@@ -18,7 +21,7 @@ from repro.polca import (
 )
 from repro.polca.pipeline import identify_policy, learn_policy_from_cache, learn_simulated_policy
 from repro.polca.reset import reset_for_table4
-from repro.policies.registry import make_policy
+from repro.policies.registry import available_policies, make_policy
 
 
 class TestBlockNames:
@@ -205,24 +208,24 @@ class TestPipeline:
         machine = make_policy("LRU", 3).to_mealy().minimize()
         assert identify_policy(machine, 3, candidates=["PLRU", "LRU"]) == "LRU"
 
-    def test_identify_policy_skips_references_beyond_the_state_bound(self, monkeypatch):
+    def test_identify_policy_warns_and_skips_candidates_beyond_the_pair_bound(
+        self, monkeypatch, caplog
+    ):
         import repro.polca.pipeline as pipeline
-        from repro.core.mealy import MealyDefinitionError
 
-        class Unbounded:
-            def to_mealy(self, *, max_states):
-                raise MealyDefinitionError(f"exceeded max_states={max_states}")
-
-        real = pipeline.make_policy
-        monkeypatch.setattr(
-            pipeline,
-            "make_policy",
-            lambda name, associativity: (
-                Unbounded() if name == "BIP" else real(name, associativity)
-            ),
-        )
-        machine = make_policy("LRU", 2).to_mealy().minimize()
-        assert identify_policy(machine, 2, candidates=["BIP", "LRU"]) == "LRU"
+        # An equivalent candidate's walk visits one pair per policy state:
+        # 24 for LRU-4, one more than the bound allows.
+        monkeypatch.setattr(pipeline, "IDENTIFICATION_PAIR_BOUND", 23)
+        lru4 = make_policy("LRU", 4).to_mealy().minimize()
+        with caplog.at_level(logging.WARNING, logger="repro"):
+            assert identify_policy(lru4, 4, candidates=["LRU"]) is None
+        [record] = caplog.records
+        assert record.levelno == logging.WARNING
+        assert "LRU" in record.getMessage()
+        assert "associativity 4" in record.getMessage()
+        assert "23" in record.getMessage()
+        monkeypatch.setattr(pipeline, "IDENTIFICATION_PAIR_BOUND", 24)
+        assert identify_policy(lru4, 4, candidates=["LRU"]) == "LRU"
 
     def test_identify_policy_propagates_unexpected_errors(self, monkeypatch):
         import repro.polca.pipeline as pipeline
@@ -238,3 +241,111 @@ class TestPipeline:
     def test_learn_simulated_policy_requires_policy_instance(self):
         with pytest.raises(Exception):
             learn_simulated_policy("LRU")
+
+
+# -- name identity: the product walk against enumerate-and-minimise ----------
+
+
+def _registry_params(*associativities):
+    """Every registry policy defined at each associativity, as test params."""
+    params = []
+    for associativity in associativities:
+        for name in available_policies():
+            try:
+                make_policy(name, associativity)
+            except PolicyError:
+                continue
+            params.append(pytest.param(name, associativity, id=f"{name}-{associativity}"))
+    return params
+
+
+@pytest.fixture(scope="module")
+def reference_machine():
+    """Minimal registry machines, enumerated once per (policy, associativity).
+
+    ``None`` marks a policy that is undefined at the associativity or has
+    more reachable states than the enumeration bound, as the enumerating
+    identification skipped both.
+    """
+    built = {}
+
+    def reference(name, associativity):
+        key = (name, associativity)
+        if key not in built:
+            try:
+                policy = make_policy(name, associativity)
+                built[key] = policy.to_mealy(max_states=200_000).minimize()
+            except (PolicyError, MealyDefinitionError):
+                built[key] = None
+        return built[key]
+
+    return reference
+
+
+@pytest.fixture(scope="module")
+def oracle_identify(reference_machine):
+    """The enumerate -> minimise -> compare identification, as an oracle."""
+
+    def identify(machine, associativity):
+        for name in available_policies():
+            reference = reference_machine(name, associativity)
+            if reference is None or reference.size != machine.size:
+                continue
+            if reference.equivalent(machine):
+                return name
+        return None
+
+    return identify
+
+
+class TestIdentificationNames:
+    def _assert_same_name(self, reference_machine, oracle_identify, name, associativity):
+        machine = reference_machine(name, associativity)
+        if machine is None:
+            pytest.skip(f"{name}-{associativity} exceeds the enumeration bound")
+        assert identify_policy(machine, associativity) == oracle_identify(
+            machine, associativity
+        )
+
+    @pytest.mark.parametrize("name,associativity", _registry_params(2, 3, 4))
+    def test_walk_names_what_enumeration_names(
+        self, reference_machine, oracle_identify, name, associativity
+    ):
+        self._assert_same_name(reference_machine, oracle_identify, name, associativity)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("name,associativity", _registry_params(6, 8))
+    def test_walk_names_what_enumeration_names_at_high_associativity(
+        self, reference_machine, oracle_identify, name, associativity
+    ):
+        self._assert_same_name(reference_machine, oracle_identify, name, associativity)
+
+    @pytest.mark.parametrize(
+        "name,associativity,expected",
+        [
+            # Two-way MRU and two-way tree PLRU both behave like the first
+            # equivalent policy in registry order.
+            ("MRU", 2, "LRU"),
+            ("PLRU", 2, "NEW1"),
+        ],
+    )
+    def test_low_associativity_coincidences_name_the_first_registry_match(
+        self, reference_machine, oracle_identify, name, associativity, expected
+    ):
+        machine = reference_machine(name, associativity)
+        assert identify_policy(machine, associativity) == expected
+        assert oracle_identify(machine, associativity) == expected
+
+    def test_depth_one_bip2_machine_is_named_lip(self, oracle_identify):
+        # At the default depth 1 the learner stops at 2 of BIP-2's 8 states.
+        report = learn_simulated_policy(make_policy("BIP", 2))
+        assert report.num_states == 2
+        assert report.identified_policy == "LIP"
+        assert oracle_identify(report.machine, 2) == "LIP"
+
+    @pytest.mark.parametrize(
+        "name,associativity", [("PLRU", 8), ("MRU", 8), ("FIFO", 16)]
+    )
+    def test_high_associativity_policies_name_themselves(self, name, associativity):
+        machine = make_policy(name, associativity).to_mealy().minimize()
+        assert identify_policy(machine, associativity) == name
