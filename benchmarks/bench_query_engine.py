@@ -7,14 +7,14 @@ record):
 
 * **kernel throughput** (simkernel PR) — answer one seeded random workload
   of PLRU-8 policy words through
-  :class:`~repro.polca.algorithm.PolcaMembershipOracle` under every
-  execution kernel (legacy scalar stepper, tabulated pure-Python, tabulated
-  numpy) and compare policy symbols/second.  Acceptance: the numpy kernel
-  answers >= 10x the symbols/sec of the scalar stepper.
+  :class:`~repro.polca.algorithm.PolcaMembershipOracle` under both
+  execution kernels (legacy scalar stepper, tabulated stepper) and compare
+  policy symbols/second.  Acceptance: the tabulated kernel answers >= 10x
+  the symbols/sec of the scalar stepper.
 
 * **kernel learning identity** (simkernel PR) — learn PLRU-8 end-to-end
-  under kernel in {scalar, python, numpy} and require every learned
-  machine to be bit-identical (``==``) to the scalar one.
+  under kernel in {scalar, auto} and require the tabulated run's machine
+  to be bit-identical (``==``) to the scalar one.
 
 Run standalone (``--json OUT`` writes a machine-readable result so the
 perf trajectory accumulates ``BENCH_*.json`` points)::
@@ -32,10 +32,12 @@ from repro.policies.registry import make_policy
 from repro.polca.algorithm import PolcaMembershipOracle
 from repro.polca.interfaces import SimulatedCacheInterface
 from repro.polca.pipeline import learn_simulated_policy
-from repro.simkernel import numpy_available
 
 #: The acceptance target: the paper's 8-way tree PLRU (128 states).
 TENTPOLE_POLICY = ("PLRU", 8)
+
+#: The ``kernel=`` settings compared, scalar (the reference) first.
+KERNELS = ("scalar", "auto")
 
 
 # ------------------------------------------------------- simulator kernels
@@ -50,8 +52,8 @@ def kernel_workload(associativity, *, words=2000, min_length=16, max_length=48, 
     Word lengths follow the deep conformance-suite words that dominate the
     targets this kernel unlocks (16-way PLRU / deeper SRRIP sweeps): the
     scalar path replays the whole access chain per symbol, so its
-    per-symbol cost grows with word length while the tabulated kernels
-    stay O(1) per symbol.
+    per-symbol cost grows with word length while the tabulated kernel
+    stays O(1) per symbol.
     """
     alphabet = policy_input_alphabet(associativity)
     rng = random.Random(seed)
@@ -62,48 +64,45 @@ def kernel_workload(associativity, *, words=2000, min_length=16, max_length=48, 
 
 
 def kernel_throughput(policy_name, associativity, *, batch_size=1024, **workload_kwargs):
-    """Answer the same workload under every kernel; return per-kernel metrics.
+    """Answer the same workload under both kernels; return metrics keyed by
+    the kernel in use (``"scalar"``, ``"tabulated"``).
 
     Throughput is policy symbols per second as counted by Polca itself
     (``statistics.policy_symbols``), so every kernel is measured over the
     exact same executed work — dedupe and prefix subsumption included.
     """
     workload = kernel_workload(associativity, **workload_kwargs)
-    kernels = ["scalar", "python"] + (["numpy"] if numpy_available() else [])
     results = {}
-    for kernel in kernels:
+    for kernel in KERNELS:
         interface = SimulatedCacheInterface(make_policy(policy_name, associativity))
         oracle = PolcaMembershipOracle(interface, kernel=kernel)
-        assert oracle.kernel_in_use == kernel
         start = time.perf_counter()
         for begin in range(0, len(workload), batch_size):
             oracle.output_query_batch(workload[begin : begin + batch_size])
         seconds = time.perf_counter() - start
-        results[kernel] = {
+        results[oracle.kernel_in_use] = {
             "seconds": seconds,
             "policy_symbols": oracle.statistics.policy_symbols,
             "cache_probes": oracle.statistics.cache_probes,
             "block_accesses": oracle.statistics.block_accesses,
             "symbols_per_sec": oracle.statistics.policy_symbols / max(1e-9, seconds),
         }
-    for kernel in kernels[1:]:
-        # Same workload, same accounting: only wall-clock may differ.
-        for counter in ("policy_symbols", "cache_probes", "block_accesses"):
-            assert results[kernel][counter] == results["scalar"][counter], counter
+    # Same workload, same accounting: only wall-clock may differ.
+    for counter in ("policy_symbols", "cache_probes", "block_accesses"):
+        assert results["tabulated"][counter] == results["scalar"][counter], counter
     return results
 
 
 def kernel_learning_identity(policy_name, associativity):
-    """Learn the policy under every kernel.
+    """Learn the policy under both kernels.
 
-    Returns ``(runs, identical)`` where ``identical`` is True iff every
-    learned machine is bit-identical (``==``) to the scalar one.
+    Returns ``(runs, identical)`` where ``identical`` is True iff the
+    tabulated run's machine is bit-identical (``==``) to the scalar one.
     """
-    kernels = ["scalar", "python"] + (["numpy"] if numpy_available() else [])
     runs = []
     baseline = None
     identical = True
-    for kernel in kernels:
+    for kernel in KERNELS:
         report = learn_simulated_policy(make_policy(policy_name, associativity), kernel=kernel)
         if baseline is None:
             baseline = report.machine
@@ -145,31 +144,26 @@ def main(argv=None):
         "benchmark": "bench_query_engine",
         "policy": policy_name,
         "associativity": associativity,
-        "numpy_available": numpy_available(),
     }
 
     print(f"== Simulator kernel throughput: {policy_name}-{associativity} ==")
     throughput = kernel_throughput(policy_name, associativity)
-    print(f"{'kernel':>8} {'symbols':>9} {'seconds':>9} {'symbols/sec':>12}")
+    print(f"{'kernel':>9} {'symbols':>9} {'seconds':>9} {'symbols/sec':>12}")
     for kernel, metrics in throughput.items():
         print(
-            f"{kernel:>8} {metrics['policy_symbols']:>9} {metrics['seconds']:>9.3f} "
+            f"{kernel:>9} {metrics['policy_symbols']:>9} {metrics['seconds']:>9.3f} "
             f"{metrics['symbols_per_sec']:>12.0f}"
         )
     payload["kernel_throughput"] = throughput
-    speedups = {
-        kernel: metrics["symbols_per_sec"] / throughput["scalar"]["symbols_per_sec"]
-        for kernel, metrics in throughput.items()
-        if kernel != "scalar"
-    }
-    payload["kernel_speedup_over_scalar"] = speedups
-    for kernel, speedup in speedups.items():
-        print(f"{kernel} kernel speedup over scalar: {speedup:.1f}x")
-    if "numpy" in throughput:
-        assert speedups["numpy"] >= KERNEL_SPEEDUP_TARGET, (
-            f"acceptance criterion: numpy kernel >= {KERNEL_SPEEDUP_TARGET:.0f}x "
-            f"scalar symbols/sec, got {speedups['numpy']:.1f}x"
-        )
+    speedup = (
+        throughput["tabulated"]["symbols_per_sec"] / throughput["scalar"]["symbols_per_sec"]
+    )
+    payload["kernel_speedup_over_scalar"] = {"tabulated": speedup}
+    print(f"tabulated kernel speedup over scalar: {speedup:.1f}x")
+    assert speedup >= KERNEL_SPEEDUP_TARGET, (
+        f"acceptance criterion: tabulated kernel >= {KERNEL_SPEEDUP_TARGET:.0f}x "
+        f"scalar symbols/sec, got {speedup:.1f}x"
+    )
 
     if not arguments.skip_learning:
         print(f"\n== Kernel learning identity: {policy_name}-{associativity} ==")

@@ -203,10 +203,9 @@ def assert_delta_saves_flat(metrics):
 # --------------------------------------------------------------- concurrency
 
 #: One benchmark writer: appends its own namespace plus a shared one,
-#: saving per record and timing every save.  The target is either a
-#: sharded-corpus path (direct-file writer, fcntl lock per save) or a
-#: ``unix://``/``tcp://`` address (writes routed through the store
-#: server).  Per-save latencies go to stdout as one JSON list.
+#: saving per record and timing every save.  The target is a
+#: sharded-corpus path (direct-file writer, fcntl lock per save).
+#: Per-save latencies go to stdout as one JSON list.
 _WRITER = """
 import json, sys, time
 from repro.store import open_store
@@ -234,74 +233,35 @@ def percentile(values, fraction: float) -> float:
     return ordered[min(len(ordered) - 1, int(fraction * len(ordered)))]
 
 
-def start_store_server(corpus, address):
-    """Spawn ``python -m repro.store.server``; return (process, bound address)."""
-    process = subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro.store.server",
-            "--path",
-            str(corpus),
-            "--listen",
-            address,
-        ],
-        env={**os.environ, "PYTHONPATH": "src"},
-        stdout=subprocess.PIPE,
-        text=True,
-    )
-    line = process.stdout.readline()
-    assert line.startswith("LISTENING "), f"store server did not start: {line!r}"
-    return process, line.split(None, 1)[1].strip()
-
-
-def measure_concurrency(
-    n_writers: int = 4, records: int = 25, runs: int = 20, *, via_server: bool = False
-):
+def measure_concurrency(n_writers: int = 4, records: int = 25, runs: int = 20):
     """N concurrent writer processes into one sharded corpus, ``runs`` times.
 
-    ``via_server=False`` is the direct-file baseline: every writer takes
-    the advisory ``fcntl`` lock (and replays the others' appends) per
-    save.  ``via_server=True`` routes the same workload through one
-    ``repro.store.server`` subprocess owning the corpus.  Each run
-    verifies zero lost records and zero corrupted shards before counting;
-    any violation raises.
+    Every writer takes the advisory ``fcntl`` lock (and replays the others'
+    appends) per save.  Each run verifies zero lost records and zero
+    corrupted shards before counting; any violation raises.
     """
-    import signal
-
     wall_times = []
     save_latencies = []
     for run in range(runs):
         with tempfile.TemporaryDirectory() as tmp:
             corpus = Path(tmp) / "corpus.shards"
-            server = None
-            target = str(corpus)
-            if via_server:
-                server, target = start_store_server(
-                    corpus, f"unix://{tmp}/bench.sock"
+            start = time.perf_counter()
+            processes = [
+                subprocess.Popen(
+                    [sys.executable, "-c", _WRITER, str(corpus), str(w), str(records)],
+                    env={**os.environ, "PYTHONPATH": "src"},
+                    stdout=subprocess.PIPE,
+                    text=True,
                 )
-            try:
-                start = time.perf_counter()
-                processes = [
-                    subprocess.Popen(
-                        [sys.executable, "-c", _WRITER, target, str(w), str(records)],
-                        env={**os.environ, "PYTHONPATH": "src"},
-                        stdout=subprocess.PIPE,
-                        text=True,
-                    )
-                    for w in range(n_writers)
-                ]
-                for process in processes:
-                    stdout, _ = process.communicate(timeout=300)
-                    assert process.returncode == 0, (
-                        f"writer failed in run {run} (exit {process.returncode})"
-                    )
-                    save_latencies.extend(json.loads(stdout))
-                wall_times.append(time.perf_counter() - start)
-            finally:
-                if server is not None:
-                    server.send_signal(signal.SIGTERM)
-                    assert server.wait(timeout=30) == 0
+                for w in range(n_writers)
+            ]
+            for process in processes:
+                stdout, _ = process.communicate(timeout=300)
+                assert process.returncode == 0, (
+                    f"writer failed in run {run} (exit {process.returncode})"
+                )
+                save_latencies.extend(json.loads(stdout))
+            wall_times.append(time.perf_counter() - start)
 
             merged = ShardedStore(corpus)  # raises on any corrupted shard
             for w in range(n_writers):
@@ -314,7 +274,7 @@ def measure_concurrency(
             assert shared_words == {(f"s{i % 7}", f"x{i}") for i in range(records)}
     total_records = n_writers * records * 2
     return {
-        "scenario": "via-server" if via_server else "direct-file",
+        "scenario": "direct-file",
         "writers": n_writers,
         "records_per_writer": records * 2,
         "runs": runs,
@@ -324,34 +284,6 @@ def measure_concurrency(
         "records_per_second": total_records / (sum(wall_times) / len(wall_times)),
         "mean_save_seconds": sum(save_latencies) / len(save_latencies),
         "p99_save_seconds": percentile(save_latencies, 0.99),
-    }
-
-
-def measure_warm_start_via_server():
-    """Learn LRU-2 through a server, then re-learn warm: 0 queries re-executed."""
-    import signal
-
-    from repro.experiments.table2 import run_table2
-    from repro.store import open_store
-
-    configurations = [("LRU", 2)]
-    with tempfile.TemporaryDirectory() as tmp:
-        corpus = Path(tmp) / "corpus.shards"
-        server, address = start_store_server(corpus, f"unix://{tmp}/warm.sock")
-        try:
-            cold = open_store(address)
-            cold_rows = run_table2(configurations=configurations, store=cold)
-            cold.save()
-            warm = open_store(address)
-            warm_rows = run_table2(configurations=configurations, store=warm)
-        finally:
-            server.send_signal(signal.SIGTERM)
-            assert server.wait(timeout=30) == 0
-    return {
-        "configurations": ["-".join(map(str, c)) for c in configurations],
-        "cold_queries": sum(row.membership_queries for row in cold_rows),
-        "queries_reexecuted": sum(row.membership_queries for row in warm_rows),
-        "identified": all(row.identified for row in warm_rows),
     }
 
 
@@ -377,13 +309,6 @@ def test_concurrent_writers_smoke():
     assert metrics["lost_records"] == 0
     assert metrics["corrupted_shards"] == 0
     assert metrics["p99_save_seconds"] > 0
-
-
-def test_concurrent_writers_via_server_smoke():
-    """Fast profile: the same writers through a store server, nothing lost."""
-    metrics = measure_concurrency(n_writers=4, records=10, runs=1, via_server=True)
-    assert metrics["lost_records"] == 0
-    assert metrics["corrupted_shards"] == 0
 
 
 @pytest.mark.slow
@@ -432,33 +357,16 @@ def main(argv=None):
 
     print("\n== Concurrent writers into one sharded corpus ==")
     runs = 20 if "--full" in argv or "--json" in argv else 3
-    scenarios = {}
-    for via_server in (False, True):
-        metrics = measure_concurrency(runs=runs, via_server=via_server)
-        scenarios[metrics["scenario"]] = metrics
-        print(
-            f"{metrics['scenario']:>12}: {metrics['writers']} writers x "
-            f"{metrics['records_per_writer']} records x {metrics['runs']} runs: "
-            f"{metrics['lost_records']} lost records, "
-            f"{metrics['corrupted_shards']} corrupted shards, "
-            f"{metrics['mean_run_seconds'] * 1000:.0f} ms/run "
-            f"({metrics['records_per_second']:.0f} records/s, "
-            f"p99 save {metrics['p99_save_seconds'] * 1000:.1f} ms)"
-        )
-    speedup = (
-        scenarios["via-server"]["records_per_second"]
-        / scenarios["direct-file"]["records_per_second"]
-    )
-    print(f"via-server throughput: x{speedup:.2f} the direct-file baseline")
-
-    print("\n== Warm start through the server ==")
-    warm = measure_warm_start_via_server()
+    metrics = measure_concurrency(runs=runs)
     print(
-        f"cold learn: {warm['cold_queries']} membership queries; warm relearn "
-        f"over the served corpus: {warm['queries_reexecuted']} re-executed "
-        f"(identified: {warm['identified']})"
+        f"{metrics['scenario']:>12}: {metrics['writers']} writers x "
+        f"{metrics['records_per_writer']} records x {metrics['runs']} runs: "
+        f"{metrics['lost_records']} lost records, "
+        f"{metrics['corrupted_shards']} corrupted shards, "
+        f"{metrics['mean_run_seconds'] * 1000:.0f} ms/run "
+        f"({metrics['records_per_second']:.0f} records/s, "
+        f"p99 save {metrics['p99_save_seconds'] * 1000:.1f} ms)"
     )
-    assert warm["queries_reexecuted"] == 0, "warm start over the server re-executed queries"
 
     if "--json" in argv:
         out = Path(argv[argv.index("--json") + 1])
@@ -467,9 +375,7 @@ def main(argv=None):
                 {
                     "benchmark": "bench_store_concurrency",
                     "per_row_save": delta,
-                    "concurrency": scenarios["direct-file"],
-                    "concurrency_via_server": scenarios["via-server"],
-                    "warm_start_via_server": warm,
+                    "concurrency": metrics,
                 },
                 indent=2,
             )

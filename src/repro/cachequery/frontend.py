@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cachequery.backend import BackendConfig, CacheQueryBackend
 from repro.cachequery.querycache import QueryCache, operation_symbol
-from repro.errors import CacheQueryError, NonDeterminismError
+from repro.errors import CacheQueryError, NonDeterminismError, ReproError
 from repro.hardware.cpu import SimulatedCPU
 from repro.hardware.profiles import cpu_profile
 from repro.mbl.expansion import expand, query_to_text
@@ -355,7 +355,9 @@ class CacheQuery:
                 else:
                     for outcome in self.query(line):
                         output_fn(" ".join(outcome) if outcome else "(no profiled access)")
-            except Exception as error:  # surface errors, keep the REPL alive
+            except (ReproError, ValueError) as error:
+                # Bad input (an unknown level, ``set abc``, an MBL syntax
+                # error) keeps the REPL alive; programming errors propagate.
                 output_fn(f"error: {error}")
 
 

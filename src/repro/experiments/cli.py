@@ -29,16 +29,15 @@ from repro.experiments.table4 import format_table4, run_table4
 from repro.experiments.table5 import format_table5, run_table5
 
 
-def _make_store(cache_path: Optional[str], store_server: Optional[str] = None):
-    if cache_path is None and store_server is None:
+def _make_store(cache_path: Optional[str]):
+    if cache_path is None:
         return None
     from repro.store import open_store
 
-    # A unix://*/tcp://* address connects to a running store server; a
-    # directory (or trailing-separator / .shards path) opens a sharded
+    # A directory (or trailing-separator / .shards path) opens a sharded
     # corpus — one append-log file per namespace — a plain file the classic
     # single-file store.
-    return open_store(store_server if store_server is not None else cache_path)
+    return open_store(cache_path)
 
 
 def _print_store(store, rows) -> None:
@@ -134,17 +133,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "interrupted sweep resumes from what it already measured",
     )
     parser.add_argument(
-        "--store-server",
-        default=None,
-        metavar="ADDR",
-        help="share one measurement corpus through a running store server "
-        "(see python -m repro.store.server): unix:///path/to.sock or "
-        "tcp://host:port; lookups are mirrored locally, saves ship deltas "
-        "to the server, which owns the corpus files and their locks — N "
-        "workers or remote sweeps stop serialising on per-save fcntl "
-        "round-trips (incompatible with --cache-path and --store-compact)",
-    )
-    parser.add_argument(
         "--store-compact",
         action="store_true",
         help="after the run, fold the --cache-path store's append log back "
@@ -160,14 +148,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--kernel",
-        choices=["auto", "python", "numpy", "scalar"],
+        choices=["auto", "scalar"],
         default="auto",
-        help="simulator execution kernel for table2/table4: auto picks the "
-        "tabulated numpy kernel when numpy is importable and the policy "
-        "tabulates (falling back to the pure-Python tabulated stepper, then "
-        "to the scalar path); python/numpy force a tabulated kernel; scalar "
-        "forces the legacy per-symbol stepper — results are identical "
-        "either way",
+        help="simulator execution kernel for table2/table4: auto steps a "
+        "tabulated policy when the interface and the policy allow it (and "
+        "otherwise the scalar path); scalar forces the legacy per-symbol "
+        "stepper — results are identical either way",
     )
     parser.add_argument(
         "--learner",
@@ -184,19 +170,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     arguments = parser.parse_args(argv)
     # All flag validation happens here, before any store/experiment work starts.
-    if arguments.store_server is not None and arguments.cache_path is not None:
-        parser.error(
-            "--store-server and --cache-path are mutually exclusive: with a "
-            "server the corpus lives behind the socket"
-        )
-    if arguments.store_compact and arguments.store_server is not None:
-        parser.error(
-            "--store-compact works on a local --cache-path corpus; "
-            "compaction is the server's job when a corpus is served"
-        )
+    if arguments.sets < 1:
+        parser.error(f"--sets must be at least 1, got {arguments.sets}")
     if arguments.store_compact and arguments.cache_path is None:
         parser.error("--store-compact needs --cache-path")
-    store = _make_store(arguments.cache_path, arguments.store_server)
+    store = _make_store(arguments.cache_path)
     learning_kwargs = {
         "store": store,
         "resume": arguments.resume,

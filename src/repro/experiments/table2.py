@@ -154,8 +154,8 @@ def run_table2(
     :class:`~repro.store.PrefixStore` (one namespace per policy target);
     with a path the store is saved after every row, so an interrupted sweep
     resumes from what it already measured.  ``kernel`` selects the simulator
-    execution strategy (``auto``/``python``/``numpy``/``scalar``); answers,
-    machines and probe columns are identical across kernels.  ``learner``
+    execution strategy (``auto``/``scalar``); answers, machines and probe
+    columns are identical either way.  ``learner``
     selects the student (``"lstar"`` or ``"ttt"``); both learn identical
     minimal machines, so state and match columns are learner-invariant.
     """

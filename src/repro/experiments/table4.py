@@ -277,8 +277,7 @@ def run_table4_configuration(
         ]
     start = time.perf_counter()
     # The CacheQuery interface has no policy-exact kernel hook, so
-    # kernel="auto" degrades to the scalar path here; forcing a kernel is
-    # rejected by Polca with a clean error.
+    # kernel="auto" degrades to the scalar path here.
     report = learn_policy_from_cache(
         interface,
         depth=depth,

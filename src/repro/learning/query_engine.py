@@ -148,7 +148,7 @@ def dedupe_and_subsume(words: Sequence[Sequence[Input]]) -> List[Word]:
     # of its extensions, so a single next-neighbour check per word replaces
     # materializing (and hashing) every prefix of every word — the
     # difference between O(total symbols) and O(total symbols * length) on
-    # the deep batches of the tabulated kernels.
+    # the deep batches of the tabulated stepper.
     symbol_ids: dict = {}
     keys: List[List[int]] = []
     for word in unique:

@@ -47,7 +47,7 @@ from repro.simkernel.batch import BatchSimulator
 Block = Hashable
 
 #: Kernel names accepted by the ``kernel=`` knob (``None`` ≡ ``"scalar"``).
-POLCA_KERNELS = ("auto", "python", "numpy", "scalar")
+POLCA_KERNELS = ("auto", "scalar")
 
 
 def scalar_probe_cost(
@@ -135,11 +135,10 @@ class PolcaMembershipOracle:
     through a :class:`~repro.simkernel.batch.BatchSimulator` instead of
     probing symbol by symbol.  Answers are bit-identical to the scalar path
     and the probe/access counters are kept identical too, via
-    :func:`scalar_probe_cost` accounting.  ``"auto"`` degrades silently
-    (no ``kernel_policy``, non-tabulatable policy, ``resume=True``, numpy
-    missing → scalar/python as appropriate); forcing ``"python"`` or
-    ``"numpy"`` raises :class:`~repro.errors.PolicyError` instead.
-    :attr:`kernel_in_use` reports what actually runs.
+    :func:`scalar_probe_cost` accounting.  ``"auto"`` degrades silently to
+    the scalar path when the interface has no ``kernel_policy``, the policy
+    does not tabulate, or ``resume=True``.  :attr:`kernel_in_use` reports
+    what actually runs.
     """
 
     def __init__(
@@ -170,10 +169,8 @@ class PolcaMembershipOracle:
         if kernel is not None and kernel != "scalar":
             self._simulator = self._build_simulator(kernel)
         #: Execution strategy actually answering queries:
-        #: ``"scalar"``, ``"python"`` or ``"numpy"``.
-        self.kernel_in_use = (
-            "scalar" if self._simulator is None else self._simulator.kernel
-        )
+        #: ``"tabulated"`` or ``"scalar"``.
+        self.kernel_in_use = "scalar" if self._simulator is None else "tabulated"
 
     def _build_simulator(self, kernel: str) -> Optional[BatchSimulator]:
         """Try to bind the tabulated fast path; ``None`` means scalar fallback."""
@@ -181,32 +178,18 @@ class PolcaMembershipOracle:
             raise PolicyError(
                 f"unknown simulator kernel {kernel!r}; choose one of {POLCA_KERNELS}"
             )
-        forced = kernel != "auto"
         kernel_policy = getattr(self.cache, "kernel_policy", None)
         accounting = getattr(self.cache, "count_kernel_probes", None)
         if not (callable(kernel_policy) and callable(accounting)):
-            if forced:
-                raise PolicyError(
-                    f"kernel={kernel!r} requires a cache interface with "
-                    "policy-exact semantics (kernel_policy/count_kernel_probes); "
-                    f"{type(self.cache).__name__} only supports the scalar path"
-                )
             return None
         if self.resume:
             # The resume protocol reconstructs Polca state from cached prefix
             # outputs and drives measurement sessions — an inherently scalar,
             # stateful execution; the kernel answers from the initial state.
-            if forced:
-                raise PolicyError(
-                    f"kernel={kernel!r} is incompatible with resume=True; "
-                    "use kernel='auto' (degrades to scalar) or disable resume"
-                )
             return None
         try:
-            return BatchSimulator(kernel_policy(), kernel=kernel)
+            return BatchSimulator(kernel_policy())
         except PolicyError:
-            if forced:
-                raise
             return None
 
     @property

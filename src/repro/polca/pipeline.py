@@ -147,10 +147,10 @@ class PolicyLearningPipeline:
         #: Both learn the same minimal machine bit-identically.
         self.learner = learner.lower()
         #: Execution strategy for Polca's probes over simulated targets:
-        #: ``"auto"`` (tabulated kernel when the policy tabulates, numpy
-        #: when importable), ``"python"``, ``"numpy"``, or ``"scalar"`` /
-        #: ``None`` for the legacy per-symbol stepper.  Answers and
-        #: statistics are identical across all settings.
+        #: ``"auto"`` (the tabulated stepper when the interface and the
+        #: policy allow it, otherwise scalar) or ``"scalar"`` / ``None`` for
+        #: the legacy per-symbol stepper.  Answers and statistics are
+        #: identical either way.
         self.kernel = kernel
         #: Optional shared :class:`~repro.store.PrefixStore` the query
         #: engine's trie lives in — pass the same instance backing the

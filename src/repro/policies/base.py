@@ -136,7 +136,7 @@ class ReplacementPolicy(abc.ABC):
         """Compile this policy into a flat transition table.
 
         Returns a :class:`~repro.simkernel.tables.TabulatedPolicy` for the
-        execution kernels in :mod:`repro.simkernel`.  The state bound is
+        tabulated stepper in :mod:`repro.simkernel`.  The state bound is
         ``max_states`` if given, else :attr:`tabulation_state_bound`, else
         the subsystem default; exceeding it, or
         ``supports_tabulation = False``, raises a clean

@@ -1,11 +1,10 @@
-"""The :class:`BatchSimulator` facade: a policy-word oracle over a kernel.
+"""The :class:`BatchSimulator`: a policy-word oracle over a transition table.
 
 This is the execution core the rest of the stack plugs into: it owns one
-compiled :class:`~repro.simkernel.tables.TabulatedPolicy` and one stepper
-(numpy or pure Python, see :mod:`repro.simkernel.steppers`) and answers
-whole chunks of policy words at once.  On top of the chunk primitive it
-implements the learning stack's full batched-oracle protocol
-(:mod:`repro.learning.query_engine`):
+compiled :class:`~repro.simkernel.tables.TabulatedPolicy` and answers whole
+chunks of policy words at once by flat-tuple lookups, one per symbol.  On
+top of the chunk primitive it implements the learning stack's full
+batched-oracle protocol (:mod:`repro.learning.query_engine`):
 
 * ``output_query(word)`` / ``output_query_batch(words)`` — answer words
   from the initial state;
@@ -21,10 +20,9 @@ system under learning, or inside
 replaces per-symbol cache probing for simulated targets (where the
 interface guarantees policy-exact semantics).
 
-Outputs are always plain Python values (``"-"`` or ``int``), never numpy
-scalars: answers must be bit-identical to the scalar path — including
-through pickling, the prefix store codec and machine equality — no matter
-which kernel produced them.
+Outputs are always plain Python values (``"-"`` or ``int``): answers are
+bit-identical to the scalar path, including through pickling, the prefix
+store codec and machine equality.
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ from typing import Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.alphabet import PolicyInput, PolicyOutput
 from repro.learning.oracles import QueryStatistics
-from repro.simkernel.steppers import resolve_kernel
 from repro.simkernel.tables import TabulatedPolicy, tabulate_policy
 
 Word = Sequence[PolicyInput]
@@ -41,7 +38,7 @@ OutputWord = Tuple[PolicyOutput, ...]
 
 
 class BatchSimulator:
-    """Answer chunks of policy words through a tabulated execution kernel."""
+    """Answer chunks of policy words by stepping a tabulated policy."""
 
     supports_resume = True
 
@@ -49,24 +46,18 @@ class BatchSimulator:
         self,
         policy,
         *,
-        kernel: str = "auto",
         max_states: Optional[int] = None,
     ) -> None:
-        """Compile ``policy`` (or adopt a ready :class:`TabulatedPolicy`)
-        and bind the requested kernel.
+        """Compile ``policy`` (or adopt a ready :class:`TabulatedPolicy`).
 
         Raises :class:`~repro.errors.PolicyError` when the policy does not
-        tabulate within its state bound or the forced kernel is
-        unavailable — ``kernel="auto"`` consumers catch it and fall back to
-        scalar stepping.
+        tabulate within its state bound — ``kernel="auto"`` consumers catch
+        it and fall back to scalar stepping.
         """
         if isinstance(policy, TabulatedPolicy):
             self.table = policy
         else:
             self.table = tabulate_policy(policy, max_states=max_states)
-        self._stepper = resolve_kernel(self.table, kernel)
-        #: The kernel actually bound ("numpy" or "python").
-        self.kernel = self._stepper.name
         self.associativity = self.table.associativity
         self.statistics = QueryStatistics()
 
@@ -94,11 +85,28 @@ class BatchSimulator:
     def _run(
         self, code_words: List[Tuple[int, ...]], states: Optional[List[int]]
     ) -> Tuple[List[OutputWord], List[int]]:
-        answered, end_states = self._stepper.run_chunk(code_words, states)
-        decode = self.table.decode_outputs
-        for word in code_words:
-            self.statistics.record_query(len(word))
-        return [decode(codes) for codes in answered], end_states
+        """Step every encoded word (from state 0, or from ``states[row]``);
+        return the decoded output words and the state each word ends in."""
+        table = self.table
+        next_state = table.next_state
+        outputs = table.outputs
+        width = table.num_symbols
+        decode = table.decode_outputs
+        record_query = self.statistics.record_query
+        answered: List[OutputWord] = []
+        end_states: List[int] = []
+        for row, codes in enumerate(code_words):
+            state = 0 if states is None else states[row]
+            word_out = []
+            append = word_out.append
+            for code in codes:
+                base = state * width + code
+                append(outputs[base])
+                state = next_state[base]
+            answered.append(decode(word_out))
+            end_states.append(state)
+            record_query(len(codes))
+        return answered, end_states
 
     # ----------------------------------------------------- oracle protocol
 

@@ -10,12 +10,6 @@ Public surface:
   — directory-backed corpora with one append-log file (and one writer
   lock) per namespace key, and the path-polymorphic opener behind
   ``--cache-path``;
-* :class:`~repro.store.client.RemoteStore` /
-  :func:`~repro.store.client.parse_address` — the synchronous client for
-  the asyncio measurement-store server (:mod:`repro.store.server`), which
-  owns a corpus behind a ``unix://``/``tcp://`` socket so N writers stop
-  serialising on per-save ``fcntl`` locks (``open_store`` recognises the
-  addresses too);
 * the codec helpers of :mod:`repro.store.codec` — the version-2 append-log
   persistence (v1 read-compatible) with corruption diagnostics, the
   symbol registry for non-string trie symbols, and the
@@ -23,7 +17,6 @@ Public surface:
   the O(delta) regression tests assert on.
 """
 
-from repro.store.client import RemoteStore, is_server_address, parse_address
 from repro.store.codec import (
     LoadReport,
     STORE_FORMAT,
@@ -43,17 +36,14 @@ __all__ = [
     "LoadReport",
     "PrefixNamespace",
     "PrefixStore",
-    "RemoteStore",
     "STORE_FORMAT",
     "STORE_VERSION",
     "ShardedStore",
     "StoreIO",
     "decode_symbol",
     "encode_symbol",
-    "is_server_address",
     "is_store_document",
     "open_store",
-    "parse_address",
     "register_symbol_codec",
     "shard_filename",
     "track_store_io",

@@ -71,8 +71,7 @@ def _warn_fcntl_missing() -> None:
         "fcntl is unavailable on this platform: the measurement store cannot "
         "lock out concurrent writers; a second writer touching this file "
         "will be detected on catch-up and rejected with a StoreError instead "
-        "of risking corruption (use the store server, repro.store.server, to "
-        "share a corpus without fcntl)",
+        "of risking corruption (run one writer per store file at a time)",
         RuntimeWarning,
         stacklevel=4,
     )
@@ -594,8 +593,8 @@ class PrefixStore:
                     f"(generation {self._generation} -> {generation}, synced "
                     f"{self._synced_offset} of {size} bytes) but fcntl "
                     "locking is unavailable on this platform: concurrent "
-                    "writers cannot be serialised — route them through the "
-                    "store server (repro.store.server) instead"
+                    "writers cannot be serialised — run one writer per "
+                    "store file at a time"
                 )
         if version < STORE_VERSION or generation != self._generation:
             # The file was compacted (or rewritten) behind our back — or we

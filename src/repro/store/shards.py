@@ -232,18 +232,11 @@ class ShardedStore:
 def open_store(path, *, sharded: Optional[bool] = None):
     """Open ``path`` as the right kind of store (the ``--cache-path`` entry).
 
-    A ``unix://`` or ``tcp://`` address connects a
-    :class:`~repro.store.client.RemoteStore` to a running
-    :mod:`repro.store.server` instead of touching the filesystem.
-    Otherwise ``sharded=None`` auto-detects: an existing directory, a path
+    ``sharded=None`` auto-detects: an existing directory, a path
     spelled with a trailing separator, or a ``.shards`` suffix opens a
     :class:`ShardedStore`; everything else a single-file
     :class:`PrefixStore`.
     """
-    from repro.store.client import RemoteStore, is_server_address
-
-    if is_server_address(path):
-        return RemoteStore(path)
     target = Path(path)
     if sharded is None:
         sharded = (

@@ -464,6 +464,25 @@ class TestFrontend:
         assert any("error" in line for line in outputs)
         assert frontend.config.level == "L2"
 
+    def test_interactive_mode_reports_bad_input_and_keeps_reading(self):
+        frontend = CacheQuery(_cpu(), CacheQueryConfig(level="L1", set_index=0))
+        script = iter(["set abc", "set 3", "quit"])
+        outputs = []
+        frontend.interactive(input_fn=lambda _: next(script), output_fn=outputs.append)
+        assert any(line.startswith("error: ") for line in outputs)
+        assert frontend.config.set_index == 3  # the line after the error ran
+
+    def test_interactive_mode_propagates_programming_errors(self, monkeypatch):
+        frontend = CacheQuery(_cpu(), CacheQueryConfig(level="L1", set_index=0))
+
+        def broken_query(expression):
+            raise RuntimeError("bug in query")
+
+        monkeypatch.setattr(frontend, "query", broken_query)
+        script = iter(["A B?", "quit"])
+        with pytest.raises(RuntimeError, match="bug in query"):
+            frontend.interactive(input_fn=lambda _: next(script), output_fn=lambda _: None)
+
     def test_set_interface_probe_profiles_every_block(self):
         frontend = CacheQuery(_cpu(), CacheQueryConfig(level="L2", set_index=17))
         interface = CacheQuerySetInterface(frontend)

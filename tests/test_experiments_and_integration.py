@@ -161,28 +161,6 @@ class TestCLIFlags:
         assert "prefix store" in out
         assert path.exists()
 
-    def test_store_server_with_cache_path_rejected(self, capsys):
-        from repro.experiments.cli import main
-
-        with pytest.raises(SystemExit):
-            main(
-                [
-                    "table2",
-                    "--store-server",
-                    "unix:///tmp/x.sock",
-                    "--cache-path",
-                    "corpus.json",
-                ]
-            )
-        assert "mutually exclusive" in capsys.readouterr().err
-
-    def test_store_server_with_store_compact_rejected(self, capsys):
-        from repro.experiments.cli import main
-
-        with pytest.raises(SystemExit):
-            main(["table2", "--store-server", "unix:///tmp/x.sock", "--store-compact"])
-        assert "server's job" in capsys.readouterr().err
-
     def test_store_compact_without_cache_path_rejected(self, capsys):
         from repro.experiments.cli import main
 
@@ -190,24 +168,14 @@ class TestCLIFlags:
             main(["table2", "--store-compact"])
         assert "--cache-path" in capsys.readouterr().err
 
-    def test_store_server_flag_runs_against_live_server(self, tmp_path, capsys):
-        from repro.experiments import table2 as table2_module
+    @pytest.mark.parametrize("sets", ["0", "-3"])
+    def test_leader_sets_rejects_non_positive_set_count(self, sets, capsys):
         from repro.experiments.cli import main
-        from repro.store import ShardedStore
-        from repro.store.server import serve_in_thread
 
-        handle = serve_in_thread(
-            ShardedStore(tmp_path / "corpus.shards"), f"unix://{tmp_path}/cli.sock"
-        )
-        original = table2_module.table2_configurations
-        table2_module.table2_configurations = lambda mode: [("LRU", 2)]
-        try:
-            assert main(["table2", "--store-server", handle.address]) == 0
-        finally:
-            table2_module.table2_configurations = original
-            handle.stop()
-        out = capsys.readouterr().out
-        assert "prefix store" in out
+        with pytest.raises(SystemExit) as exit_info:
+            main(["leader-sets", "--sets", sets])
+        assert exit_info.value.code == 2
+        assert f"--sets must be at least 1, got {sets}" in capsys.readouterr().err
 
     def test_format_store_statistics_line(self):
         from repro.experiments.reporting import format_store_statistics

@@ -10,7 +10,8 @@ against the machine it was learned from:
   machines (states, transitions, outputs — ``==``, not mere equivalence);
 * seeded random policy configurations from the registry, learned through
   the full Polca pipeline, must match the policy's own minimal machine the
-  same way, and every execution kernel must reproduce the run exactly; and
+  same way, and the tabulated stepper must reproduce the scalar run
+  exactly; and
 * replaying seeded random words against a fresh reference (the machine
   itself, or a fresh Polca-driven simulator) must match the learned
   machine.
@@ -37,7 +38,6 @@ from repro.polca.algorithm import PolcaMembershipOracle
 from repro.polca.interfaces import SimulatedCacheInterface
 from repro.polca.pipeline import learn_simulated_policy
 from repro.policies.registry import available_policies, make_policy
-from repro.simkernel import numpy_available
 
 #: Seeds for the default (fast) machine budget; every seed learns exactly at
 #: conformance depth 2 (verified — see the replay assertion below).
@@ -126,16 +126,16 @@ def _assert_policy_ground_truth(policy_name: str) -> None:
 
 
 def _assert_kernel_differential(policy_name: str) -> None:
-    """Every execution kernel learns field-for-field identical results.
+    """Both execution kernels learn field-for-field identical results.
 
-    The legacy scalar stepper is the reference; the tabulated pure-Python
-    and (when importable) numpy kernels must reproduce the machine, the
-    learning trajectory (rounds, counterexamples), the engine statistics
-    *and* Polca's probe accounting exactly — the kernel is an execution
-    strategy, never an observable.
+    The legacy scalar stepper is the reference; the tabulated stepper
+    (``kernel="auto"``) must reproduce the machine, the learning trajectory
+    (rounds, counterexamples), the engine statistics *and* Polca's probe
+    accounting exactly — the kernel is an execution strategy, never an
+    observable.
     """
     depth = EXACT_DEPTH.get(policy_name, 1)
-    kernels = ["scalar", "python"] + (["numpy"] if numpy_available() else [])
+    kernels = ["scalar", "auto"]
     reports = {
         kernel: learn_simulated_policy(
             make_policy(policy_name, ASSOCIATIVITY),
@@ -149,7 +149,7 @@ def _assert_kernel_differential(policy_name: str) -> None:
     assert reference.extra["kernel"] == "scalar"
     for kernel in kernels[1:]:
         report = reports[kernel]
-        assert report.extra["kernel"] == kernel
+        assert report.extra["kernel"] == "tabulated"
         assert report.machine == reference.machine, f"{policy_name}/{kernel}: machines diverged"
         assert report.learning_result.rounds == reference.learning_result.rounds
         assert (
@@ -293,7 +293,7 @@ def test_every_policy_learning_matches_reference_exact(policy_name):
     "policy_name", [name for name in available_policies()]
 )
 def test_every_policy_kernels_are_identical_exact(policy_name):
-    """The full registry across every execution kernel."""
+    """The full registry across both execution kernels."""
     _assert_kernel_differential(policy_name)
 
 

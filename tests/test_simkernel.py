@@ -1,7 +1,6 @@
-"""Unit tests for the tabulated simulator kernels (:mod:`repro.simkernel`).
+"""Unit tests for the tabulated simulator (:mod:`repro.simkernel`).
 
-Covers the three layers of the subsystem — table compilation, the two
-interchangeable steppers, and the :class:`BatchSimulator` facade — plus the
+Covers table compilation and the :class:`BatchSimulator` stepper, plus the
 Polca integration: kernel selection/fallback semantics and the analytic
 probe accounting that keeps statistics execution-strategy-independent.
 """
@@ -21,17 +20,7 @@ from repro.policies.registry import make_policy
 from repro.polca.algorithm import PolcaMembershipOracle, scalar_probe_cost
 from repro.polca.interfaces import SimulatedCacheInterface
 from repro.polca.pipeline import learn_simulated_policy
-from repro.simkernel import (
-    BatchSimulator,
-    NumpyKernel,
-    PythonKernel,
-    TabulatedPolicy,
-    numpy_available,
-    resolve_kernel,
-    tabulate_policy,
-)
-
-requires_numpy = pytest.mark.skipif(not numpy_available(), reason="numpy not importable")
+from repro.simkernel import BatchSimulator, TabulatedPolicy, tabulate_policy
 
 
 def _random_words(associativity, *, count=60, max_length=14, seed="simkernel"):
@@ -118,74 +107,46 @@ def test_non_tabulatable_policy_raises():
 # -------------------------------------------------------------- steppers
 
 
+def _table_walk(table, codes, state=0):
+    expected = []
+    for code in codes:
+        state, out = table.step(state, code)
+        expected.append(table.decode_output(out))
+    return tuple(expected), state
+
+
 def test_python_kernel_matches_scalar_table_walk():
     table = make_policy("MRU", 3).tabulate()
-    kernel = PythonKernel(table)
-    words = [table.encode_word(word) for word in _random_words(3, seed="py")]
-    answered, end_states = kernel.run_chunk(words)
+    simulator = BatchSimulator(table)
+    words = _random_words(3, seed="py")
+    answered, end_states = simulator.answer_words_from_states(words, [0] * len(words))
     assert len(answered) == len(words) == len(end_states)
-    for codes, outputs, end in zip(words, answered, end_states):
-        state = 0
-        expected = []
-        for code in codes:
-            state, out = table.step(state, code)
-            expected.append(out)
-        assert outputs == tuple(expected)
-        assert end == state
+    assert simulator.answer_words(words) == answered
+    for word, outputs, end in zip(words, answered, end_states):
+        assert (outputs, end) == _table_walk(table, table.encode_word(word))
+        # Decoded outputs are plain Python values: "-" or a line index.
+        assert all(out == MISS_OUTPUT or type(out) is int for out in outputs)
 
 
-@requires_numpy
-def test_numpy_kernel_is_bit_identical_to_python_kernel():
-    table = make_policy("SRRIP-HP", 2).tabulate()
-    words = [table.encode_word(word) for word in _random_words(2, count=80, seed="np")]
-    py_out, py_states = PythonKernel(table).run_chunk(words)
-    np_out, np_states = NumpyKernel(table).run_chunk(words)
-    assert np_out == py_out
-    assert np_states == py_states
-    # Decoded outputs must be plain Python values, never numpy scalars.
-    for outputs in np_out:
-        for code in outputs:
-            assert type(code) is int
-
-
-@requires_numpy
-def test_numpy_kernel_resumes_from_states():
+def test_batch_simulator_resumes_from_states():
     table = make_policy("PLRU", 4).tabulate()
-    words = [table.encode_word(word) for word in _random_words(4, seed="resume")]
+    words = _random_words(4, seed="resume")
     starts = [index % table.num_states for index in range(len(words))]
-    py_out, py_states = PythonKernel(table).run_chunk(words, starts)
-    np_out, np_states = NumpyKernel(table).run_chunk(words, starts)
-    assert np_out == py_out
-    assert np_states == py_states
+    answered, end_states = BatchSimulator(table).answer_words_from_states(words, starts)
+    for word, start, outputs, end in zip(words, starts, answered, end_states):
+        assert (outputs, end) == _table_walk(table, table.encode_word(word), start)
 
 
 def test_kernels_handle_empty_and_ragged_chunks():
     table = make_policy("FIFO", 2).tabulate()
-    kernels = [PythonKernel(table)]
-    if numpy_available():
-        kernels.append(NumpyKernel(table))
-    ragged = [(), (2,), (0, 1, 2, 2, 0), (2, 2)]
-    coded = [tuple(word) for word in ragged]
-    reference = None
-    for kernel in kernels:
-        assert kernel.run_chunk([]) == ([], [])
-        result = kernel.run_chunk(coded)
-        assert result[0][0] == ()  # empty word answers empty
-        if reference is None:
-            reference = result
-        assert result == reference
-
-
-def test_resolve_kernel_selection_semantics():
-    table = make_policy("LRU", 2).tabulate()
-    assert resolve_kernel(table, "python").name == "python"
-    auto = resolve_kernel(table, "auto")
-    assert auto.name == ("numpy" if numpy_available() else "python")
-    with pytest.raises(PolicyError, match="unknown simulator kernel"):
-        resolve_kernel(table, "fortran")
-    if not numpy_available():
-        with pytest.raises(PolicyError, match="numpy is not importable"):
-            resolve_kernel(table, "numpy")
+    simulator = BatchSimulator(table)
+    assert simulator.answer_words([]) == []
+    assert simulator.answer_words_from_states([], []) == ([], [])
+    ragged = [(), (EVICT,), (Line(0), Line(1), EVICT, EVICT, Line(0)), (EVICT, EVICT)]
+    answered, end_states = simulator.answer_words_from_states(ragged, [0] * len(ragged))
+    assert answered[0] == () and end_states[0] == 0  # empty word answers empty
+    for word, outputs, end in zip(ragged, answered, end_states):
+        assert (outputs, end) == _table_walk(table, table.encode_word(word))
 
 
 # -------------------------------------------------------- BatchSimulator
@@ -193,7 +154,7 @@ def test_resolve_kernel_selection_semantics():
 
 def test_batch_simulator_answers_match_policy_oracle():
     policy = make_policy("LIP", 3)
-    simulator = BatchSimulator(policy, kernel="python")
+    simulator = BatchSimulator(policy)
     words = _random_words(3, seed="batch")
     answers = simulator.answer_words(words)
     for word, outputs in zip(words, answers):
@@ -206,7 +167,7 @@ def test_batch_simulator_answers_match_policy_oracle():
 
 def test_batch_simulator_resume_protocol():
     policy = make_policy("PLRU", 4)
-    simulator = BatchSimulator(policy, kernel="python")
+    simulator = BatchSimulator(policy)
     assert simulator.supports_resume
     word = (Line(0), EVICT, Line(2), EVICT, EVICT, Line(1))
     full = simulator.output_query(word)
@@ -217,9 +178,9 @@ def test_batch_simulator_resume_protocol():
 
 def test_batch_simulator_adopts_ready_table():
     table = make_policy("LRU", 2).tabulate()
-    simulator = BatchSimulator(table, kernel="python")
+    simulator = BatchSimulator(table)
     assert simulator.table is table
-    assert simulator.kernel == "python"
+    assert simulator.associativity == 2
 
 
 # --------------------------------------------------- Polca integration
@@ -237,32 +198,25 @@ def test_scalar_probe_cost_matches_executed_scalar_path():
 
 def test_kernel_oracle_matches_scalar_oracle_and_counters():
     words = _random_words(4, count=50, seed="polca")
-    kernels = ["python"] + (["numpy"] if numpy_available() else [])
     scalar_interface = SimulatedCacheInterface(make_policy("PLRU", 4))
     scalar = PolcaMembershipOracle(scalar_interface)
     expected = scalar.output_query_batch(words)
-    for kernel in kernels:
-        interface = SimulatedCacheInterface(make_policy("PLRU", 4))
-        oracle = PolcaMembershipOracle(interface, kernel=kernel)
-        assert oracle.kernel_in_use == kernel
-        assert oracle.output_query_batch(words) == expected
-        assert asdict(oracle.statistics) == asdict(scalar.statistics)
-        assert interface.probe_count == scalar_interface.probe_count
-        assert interface.access_count == scalar_interface.access_count
+    interface = SimulatedCacheInterface(make_policy("PLRU", 4))
+    oracle = PolcaMembershipOracle(interface, kernel="auto")
+    assert oracle.kernel_in_use == "tabulated"
+    assert oracle.output_query_batch(words) == expected
+    assert asdict(oracle.statistics) == asdict(scalar.statistics)
+    assert interface.probe_count == scalar_interface.probe_count
+    assert interface.access_count == scalar_interface.access_count
 
 
 def test_auto_kernel_falls_back_to_scalar_for_non_tabulatable_policy():
     interface = SimulatedCacheInterface(NonTabulatablePolicy(2))
     oracle = PolcaMembershipOracle(interface, kernel="auto")
     assert oracle.kernel_in_use == "scalar"
-    # Forcing a kernel on the same target is a clean error instead.
-    with pytest.raises(PolicyError, match="supports_tabulation=False"):
-        PolcaMembershipOracle(
-            SimulatedCacheInterface(NonTabulatablePolicy(2)), kernel="python"
-        )
 
 
-def test_forced_kernel_requires_policy_exact_interface():
+def test_auto_kernel_falls_back_to_scalar_without_policy_exact_interface():
     class ScalarOnlyInterface:
         """A probe interface without the kernel_policy hook."""
 
@@ -280,22 +234,25 @@ def test_forced_kernel_requires_policy_exact_interface():
             return self._inner.probe(blocks)
 
     assert PolcaMembershipOracle(ScalarOnlyInterface(), kernel="auto").kernel_in_use == "scalar"
-    with pytest.raises(PolicyError, match="scalar path"):
-        PolcaMembershipOracle(ScalarOnlyInterface(), kernel="python")
 
 
 def test_kernel_and_resume_interaction():
     interface = SimulatedCacheInterface(make_policy("LRU", 2))
     auto = PolcaMembershipOracle(interface, kernel="auto", resume=True)
     assert auto.kernel_in_use == "scalar"  # auto degrades silently
-    with pytest.raises(PolicyError, match="incompatible with resume"):
-        PolcaMembershipOracle(interface, kernel="python", resume=True)
 
 
 def test_unknown_kernel_name_is_rejected():
     interface = SimulatedCacheInterface(make_policy("LRU", 2))
     with pytest.raises(PolicyError, match="unknown simulator kernel"):
         PolcaMembershipOracle(interface, kernel="fortran")
+
+
+def test_numpy_available_stays_importable():
+    # pipebench/run.py imports this name during its set-up phase.
+    from repro.simkernel.steppers import numpy_available
+
+    assert isinstance(numpy_available(), bool)
 
 
 def test_count_kernel_probes_validates_and_counts():
@@ -310,10 +267,7 @@ def test_count_kernel_probes_validates_and_counts():
 def test_pipeline_reports_kernel_and_learns_identically():
     scalar = learn_simulated_policy(make_policy("MRU", 3), kernel="scalar")
     assert scalar.extra["kernel"] == "scalar"
-    python = learn_simulated_policy(make_policy("MRU", 3), kernel="python")
-    assert python.extra["kernel"] == "python"
-    assert python.machine == scalar.machine
-    assert asdict(python.polca_statistics) == asdict(scalar.polca_statistics)
     auto = learn_simulated_policy(make_policy("MRU", 3), kernel="auto")
-    assert auto.extra["kernel"] == ("numpy" if numpy_available() else "python")
+    assert auto.extra["kernel"] == "tabulated"
     assert auto.machine == scalar.machine
+    assert asdict(auto.polca_statistics) == asdict(scalar.polca_statistics)
