@@ -10,26 +10,67 @@ and produces outputs
 * ``⊥`` (here :data:`MISS_OUTPUT`, rendered ``"-"``) for ``Ln(i)`` inputs, and
 * a line index in ``0..n-1`` for ``Evct`` inputs.
 
-Inputs are modelled as small frozen dataclasses so they are hashable (the
-learner uses them as observation-table keys) and have readable ``repr``s in
-learned models and error messages.
+Inputs are *interned*: ``Line(i)`` always returns the same instance for a
+given ``i`` and ``Evict()`` always returns :data:`EVICT`.  Equality and
+hashing are therefore object identity, inherited from :class:`object` and
+run at C speed — every trie node, observation-table cell, hypothesis
+transition and suite dedupe in the learning loop is a dict or set lookup
+keyed by these symbols.  They stay immutable, are ordered by line index,
+and have readable ``repr``s in learned models and error messages.
+
+Identity hashes depend on memory addresses, so the iteration order of a
+``set`` of symbols (or of words over them) differs between processes:
+nothing that reaches output may depend on it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple, Union
+import operator
+from dataclasses import FrozenInstanceError
+from functools import total_ordering
+from typing import Dict, Tuple, Union
 
 
-@dataclass(frozen=True, order=True)
-class Line:
+class _Interned:
+    """Immutability shared by the interned symbol classes."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+@total_ordering
+class Line(_Interned):
     """Input symbol ``Ln(i)``: access the block currently stored in line ``i``."""
 
+    __slots__ = ("index",)
     index: int
 
-    def __post_init__(self) -> None:
-        if self.index < 0:
-            raise ValueError(f"line index must be non-negative, got {self.index}")
+    def __new__(cls, index: int) -> "Line":
+        # operator.index rejects 1.0 (which would hash like 1 and alias Line(1)).
+        index = operator.index(index)
+        line = _LINES.get(index)
+        if line is None:
+            if index < 0:
+                raise ValueError(f"line index must be non-negative, got {index}")
+            line = object.__new__(cls)
+            object.__setattr__(line, "index", index)
+            line = _LINES.setdefault(index, line)
+        return line
+
+    def __reduce__(self):
+        # pickle, copy and deepcopy rebuild through the constructor, which
+        # returns the interned instance.
+        return (Line, (self.index,))
+
+    def __lt__(self, other: object) -> bool:
+        if isinstance(other, Line):
+            return self.index < other.index
+        return NotImplemented
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return f"Ln({self.index})"
@@ -37,9 +78,25 @@ class Line:
     __repr__ = __str__
 
 
-@dataclass(frozen=True, order=True)
-class Evict:
+#: The interned ``Line`` instances, keyed by index.
+_LINES: Dict[int, Line] = {}
+
+
+@total_ordering
+class Evict(_Interned):
     """Input symbol ``Evct``: request that the policy frees one line."""
+
+    __slots__ = ()
+
+    def __new__(cls) -> "Evict":
+        return EVICT
+
+    def __reduce__(self):
+        return (Evict, ())
+
+    def __lt__(self, other: object) -> bool:
+        # There is one Evct instance, and it is not less than itself.
+        return False if isinstance(other, Evict) else NotImplemented
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return "Evct"
@@ -48,7 +105,7 @@ class Evict:
 
 
 #: The singleton eviction-request input.
-EVICT = Evict()
+EVICT: Evict = object.__new__(Evict)
 
 #: Output produced for ``Ln(i)`` inputs (the paper's ``⊥``).
 MISS_OUTPUT = "-"

@@ -108,6 +108,15 @@ class OutputLengthMismatchError(NonDeterminismError):
         )
 
 
+class NonMinimalMachineError(LearningError):
+    """A construction that needs a minimal Mealy machine found two equivalent states.
+
+    Raised by the characterization-set machinery behind the W/Wp conformance
+    suites; the conformance oracle catches exactly this error to fall back to
+    the minimized machine.
+    """
+
+
 class ResetError(LearningError):
     """A reset sequence failed to bring the cache to a reproducible state."""
 

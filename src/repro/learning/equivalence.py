@@ -22,7 +22,7 @@ from itertools import islice
 from typing import Hashable, Iterator, List, Optional, Protocol, Sequence, Tuple
 
 from repro.core.mealy import MealyMachine
-from repro.errors import LearningError
+from repro.errors import NonMinimalMachineError
 from repro.learning.oracles import MembershipOracle, QueryStatistics
 from repro.learning.query_engine import output_query_batch
 from repro.learning.wpmethod import iter_w_method_suite, iter_wp_method_suite
@@ -64,7 +64,8 @@ iter_wp_method_suite` generates test words lazily and the oracle consumes
     ``statistics.tests_skipped``: a truncated suite voids the
     ``(|H| + k)``-completeness guarantee of Corollary 3.4, and the learner
     surfaces the counter so reports can flag the caveat instead of silently
-    claiming completeness.
+    claiming completeness.  ``max_tests=0`` runs no words and is flagged the
+    same way; a negative ``max_tests`` or ``depth`` is rejected.
     """
 
     def __init__(
@@ -80,6 +81,10 @@ iter_wp_method_suite` generates test words lazily and the oracle consumes
             raise ValueError(f"method must be 'w' or 'wp', got {method!r}")
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+        if depth < 0:
+            raise ValueError(f"depth must be >= 0, got {depth}")
+        if max_tests is not None and max_tests < 0:
+            raise ValueError(f"max_tests must be >= 0 or None, got {max_tests}")
         self.oracle = oracle
         self.depth = depth
         self.method = method
@@ -91,7 +96,7 @@ iter_wp_method_suite` generates test words lazily and the oracle consumes
         generate = iter_w_method_suite if self.method == "w" else iter_wp_method_suite
         try:
             return generate(hypothesis, self.depth)
-        except LearningError:
+        except NonMinimalMachineError:
             # The W-set construction requires a minimal machine.  Since the
             # observation table keeps its suffix set suffix-closed, its
             # hypotheses are minimal by construction and this fallback
@@ -177,6 +182,13 @@ class RandomWalkEquivalenceOracle:
     ) -> None:
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+        if not 1 <= min_length <= max_length:
+            raise ValueError(
+                f"word lengths need 1 <= min_length <= max_length, got "
+                f"min_length={min_length}, max_length={max_length}"
+            )
+        if num_words < 0:
+            raise ValueError(f"num_words must be >= 0, got {num_words}")
         self.oracle = oracle
         self.alphabet = tuple(alphabet)
         self.num_words = num_words

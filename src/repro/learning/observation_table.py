@@ -35,7 +35,7 @@ assertion.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.mealy import MealyMachine
 from repro.errors import LearningError
@@ -57,6 +57,11 @@ class ObservationTable:
     stabilisation round, letting the oracle dedupe and prefix-subsume before
     a single word reaches the system under learning.  Row contents are
     memoised per prefix and invalidated when the suffix set changes.
+
+    Filling is incremental: the table remembers which rows and how many
+    columns the last :meth:`fill` covered, so :meth:`missing_cells` examines
+    only rows added since (every column) and older rows under the columns
+    added since, not the whole ``|P| x |E|`` grid.
     """
 
     def __init__(self, alphabet: Sequence[Input], oracle: MembershipOracle) -> None:
@@ -66,6 +71,7 @@ class ObservationTable:
         self.oracle = oracle
         # Short prefixes (access words); prefix-closed, starts with epsilon.
         self.short_prefixes: List[Word] = [EMPTY]
+        self._short_set: Set[Word] = {EMPTY}
         # Distinguishing suffixes; starts with every single input symbol so
         # the hypothesis outputs are defined from the first round.
         self.suffixes: List[Word] = [(symbol,) for symbol in self.alphabet]
@@ -74,6 +80,12 @@ class ObservationTable:
         # Memoised row contents, keyed by prefix; valid for the current
         # suffix list only (add_suffix invalidates).
         self._row_cache: Dict[Word, Tuple[Tuple[Output, ...], ...]] = {}
+        # What the last fill covered: every row in _filled_rows over the
+        # first _filled_columns suffixes, and the first _filled_shorts short
+        # prefixes with their one-symbol extensions.
+        self._filled_rows: Set[Word] = set()
+        self._filled_columns = 0
+        self._filled_shorts = 0
         self.fill()
 
     # ------------------------------------------------------------------ cells
@@ -93,13 +105,41 @@ class ObservationTable:
             self._row_cache[prefix] = row
         return row
 
+    def _new_rows(self) -> List[Word]:
+        """Rows added since the last fill, in :meth:`all_prefixes` order.
+
+        They are the short prefixes added since, then those prefixes'
+        one-symbol extensions that are not short themselves; rows covered
+        earlier (a long row promoted to short) are included and skipped by
+        the caller.
+        """
+        new_shorts = self.short_prefixes[self._filled_shorts:]
+        rows = list(new_shorts)
+        for prefix in new_shorts:
+            for symbol in self.alphabet:
+                extended = prefix + (symbol,)
+                if extended not in self._short_set:
+                    rows.append(extended)
+        return rows
+
     def missing_cells(self) -> List[Tuple[Word, Word]]:
-        """Return every (prefix, suffix) cell that has not been queried yet."""
+        """Return every (prefix, suffix) cell that has not been queried yet.
+
+        Cells are listed in row order (:meth:`all_prefixes`) and column order
+        within a row.  Only what changed since the last fill is examined;
+        the ``_cells`` check stays because :meth:`_query_cell` fills cells
+        outside :meth:`fill`.
+        """
+        new_columns = self.suffixes[self._filled_columns:]
+        rows = self.all_prefixes() if new_columns else self._new_rows()
+        filled = self._filled_rows
+        cells = self._cells
+        suffixes = self.suffixes
         return [
             (prefix, suffix)
-            for prefix in self.all_prefixes()
-            for suffix in self.suffixes
-            if (prefix, suffix) not in self._cells
+            for prefix in rows
+            for suffix in (new_columns if prefix in filled else suffixes)
+            if (prefix, suffix) not in cells
         ]
 
     def fill(self) -> None:
@@ -110,17 +150,19 @@ class ObservationTable:
         prefix-subsume and (for caches) reuse earlier answers.
         """
         missing = self.missing_cells()
-        if not missing:
-            return
-        words = [prefix + suffix for prefix, suffix in missing]
-        answers = output_query_batch(self.oracle, words)
-        for (prefix, suffix), outputs in zip(missing, answers):
-            self._cells[(prefix, suffix)] = tuple(outputs[len(prefix):])
+        if missing:
+            words = [prefix + suffix for prefix, suffix in missing]
+            answers = output_query_batch(self.oracle, words)
+            for (prefix, suffix), outputs in zip(missing, answers):
+                self._cells[(prefix, suffix)] = tuple(outputs[len(prefix):])
+        self._filled_rows.update(self._new_rows())
+        self._filled_columns = len(self.suffixes)
+        self._filled_shorts = len(self.short_prefixes)
 
     def all_prefixes(self) -> List[Word]:
         """Return short prefixes followed by their one-symbol extensions."""
         prefixes = list(self.short_prefixes)
-        short = set(self.short_prefixes)
+        short = self._short_set
         for prefix in self.short_prefixes:
             for symbol in self.alphabet:
                 extended = prefix + (symbol,)
@@ -170,9 +212,10 @@ class ObservationTable:
     def add_short_prefix(self, prefix: Word) -> bool:
         """Add ``prefix`` (and, implicitly, its extensions) as a short row."""
         prefix = tuple(prefix)
-        if prefix in self.short_prefixes:
+        if prefix in self._short_set:
             return False
         self.short_prefixes.append(prefix)
+        self._short_set.add(prefix)
         self.fill()
         return True
 
@@ -289,7 +332,7 @@ class ObservationTable:
         lines.append(header)
         lines.append("-" * len(header))
         for prefix in self.all_prefixes():
-            marker = "*" if prefix in self.short_prefixes else " "
+            marker = "*" if prefix in self._short_set else " "
             cells = " | ".join(str(self._query_cell(prefix, s)) for s in self.suffixes)
             lines.append(f"{marker}{str(prefix):23s} | {cells}")
         return "\n".join(lines)

@@ -24,7 +24,7 @@ At depth ≥ 2 the suites grow into the hundreds of thousands of words
 before the first test word could be executed.  :func:`iter_w_method_suite` / :func:`iter_wp_method_suite`
 generate the **same words in the same order** lazily: the covers and
 characterization machinery are built eagerly (so a non-minimal machine
-still fails fast with :class:`~repro.errors.LearningError`), but the
+still fails fast with :class:`~repro.errors.NonMinimalMachineError`), but the
 cross-product enumeration is a generator the conformance tester can drain
 chunk by chunk.  The list-returning :func:`w_method_suite` /
 :func:`wp_method_suite` are thin wrappers kept for callers that genuinely
@@ -53,7 +53,7 @@ from typing import (
 )
 
 from repro.core.mealy import MealyMachine
-from repro.errors import LearningError
+from repro.errors import LearningError, NonMinimalMachineError
 
 Input = Hashable
 Word = Tuple[Input, ...]
@@ -115,7 +115,7 @@ def _distinguishing_suffix(
             return hit
     suffix = machine.counterexample_against(state_b, machine.step, state=state_a)
     if suffix is None:
-        raise LearningError("states are equivalent; the machine is not minimal")
+        raise NonMinimalMachineError("states are equivalent; the machine is not minimal")
     if cache is not None:
         cache[pair_key] = suffix
     return suffix

@@ -1,9 +1,16 @@
 """Tests for the batched, trie-backed query engine and its satellite fixes."""
 
+import warnings
+
 import pytest
 
 from repro.cachequery.backend import CacheQueryBackend
-from repro.errors import NonDeterminismError, OutputLengthMismatchError
+from repro.core.mealy import MealyMachine
+from repro.errors import (
+    NonDeterminismError,
+    NonMinimalMachineError,
+    OutputLengthMismatchError,
+)
 from repro.hardware.cpu import SimulatedCPU
 from repro.hardware.profiles import SKYLAKE_I5_6500
 from repro.hardware.timing import NoiseModel
@@ -24,6 +31,7 @@ from repro.learning import (
     wp_method_suite,
 )
 from repro.learning.learner import learn_mealy_machine
+from repro.learning.wpmethod import characterization_set
 from repro.mbl.expansion import expand
 from repro.polca.algorithm import PolcaMembershipOracle
 from repro.polca.interfaces import SimulatedCacheInterface
@@ -293,6 +301,46 @@ class TestConformanceBatchingAndTruncation:
         with pytest.raises(ValueError):
             ConformanceEquivalenceOracle(oracle, batch_size=0)
 
+    def test_negative_depth_rejected_up_front_without_warning(self):
+        oracle = FunctionOracle(_echo)
+        with warnings.catch_warnings():
+            # A negative depth is a caller error, not a non-minimal
+            # hypothesis: no "falling back to the minimized machine" warning.
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="depth"):
+                ConformanceEquivalenceOracle(oracle, depth=-1)
+
+    def test_negative_max_tests_rejected(self):
+        oracle = FunctionOracle(_echo)
+        with pytest.raises(ValueError, match="max_tests"):
+            ConformanceEquivalenceOracle(oracle, max_tests=-1)
+
+    def test_zero_max_tests_runs_nothing_and_is_flagged(self):
+        reference = make_policy("LRU", 2).to_mealy().minimize()
+        suite_size = len(wp_method_suite(reference, 1))
+        oracle = MealyMachineOracle(reference)
+        equivalence = ConformanceEquivalenceOracle(oracle, depth=1, max_tests=0)
+        assert equivalence.find_counterexample(reference) is None
+        assert equivalence.statistics.test_words == 0
+        assert equivalence.statistics.tests_skipped == suite_size
+        assert oracle.statistics.membership_queries == 0
+
+    def test_non_minimal_machine_raises_the_narrow_error(self):
+        minimal = make_policy("LRU", 2).to_mealy().minimize()
+        state = minimal.initial_state
+        # One extra state that behaves exactly like the initial state.
+        twin = "twin"
+        transitions = dict(minimal.transitions)
+        outputs = dict(minimal.outputs)
+        for symbol in minimal.inputs:
+            transitions[(twin, symbol)] = minimal.transitions[(state, symbol)]
+            outputs[(twin, symbol)] = minimal.outputs[(state, symbol)]
+        non_minimal = MealyMachine(
+            list(minimal.states) + [twin], state, list(minimal.inputs), transitions, outputs
+        )
+        with pytest.raises(NonMinimalMachineError):
+            characterization_set(non_minimal)
+
 
 class TestRandomWalkBatching:
     def test_random_walk_uses_the_batched_engine(self):
@@ -339,6 +387,29 @@ class TestRandomWalkBatching:
         )
         with pytest.raises(ValueError):
             RandomWalkEquivalenceOracle(engine, ("a",), batch_size=0)
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            ({"min_length": 5, "max_length": 4}, "min_length"),
+            ({"min_length": -2}, "min_length"),
+            ({"min_length": 0}, "min_length"),
+            ({"num_words": -1}, "num_words"),
+        ],
+    )
+    def test_random_walk_rejects_bad_lengths_and_counts(self, options, message):
+        oracle = FunctionOracle(_echo)
+        with pytest.raises(ValueError, match=message):
+            RandomWalkEquivalenceOracle(oracle, ("a",), **options)
+
+    def test_random_walk_accepts_equal_bounds_and_zero_words(self):
+        reference = make_policy("LRU", 2).to_mealy().minimize()
+        oracle = MealyMachineOracle(reference)
+        walker = RandomWalkEquivalenceOracle(
+            oracle, reference.inputs, min_length=1, max_length=1, num_words=0
+        )
+        assert walker.find_counterexample(reference) is None
+        assert walker.statistics.test_words == 0
 
 
 class TestPolcaBatch:
